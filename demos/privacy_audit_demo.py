@@ -34,6 +34,7 @@ print("=" * 72)
 rep = audit_privacy(scheme_leaky_index(), space, 2, 2, mode="exact")
 print(f"  scheme={rep.scheme}")
 print(f"  max total-variation distance: {rep.max_tv_distance}")
+print(f"  first difference: {rep.worst_test}")
 print(f"  verdict: {'PASS' if rep.passed else 'FAIL'}  (failing is the point)")
 
 print()
@@ -66,5 +67,5 @@ space = VirtualFileSpace(T=3, q=5, nu=2)
 rep = audit_privacy(
     scheme_leaky_index(), space, 2, 1, mode="sampled", samples=10_000, seed=42
 )
-print(f"  min p-value {rep.min_pvalue:.3e}")
+print(f"  min p-value {rep.min_pvalue:.3e}, worst test {rep.worst_test}")
 print(f"  verdict: {'PASS' if rep.passed else 'FAIL'}  (failing is the point)")

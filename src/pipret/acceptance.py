@@ -5,8 +5,8 @@ route (dense eigensolver, raw-data solvers, combinatorial counts, exact
 enumeration) and checks the production path against them at a fixed
 tolerance.  ``run_criteria`` executes all of them and returns records;
 ``reproduce_all`` additionally builds the consolidated verdict twice and
-demands byte-identical serializations, then returns the report and an exit
-status.
+demands byte-identical serializations, then returns the report, an exit
+status and the per-criterion runtimes.
 
 The criterion functions reference their modules through attribute lookup
 (``spectral.delta_distribution`` and so on), so a test can plant a fault by
@@ -450,8 +450,10 @@ def consolidated_json(records: list[dict], master_seed: int, version: str) -> st
 def reproduce_all(master_seed: int = MASTER_SEED_DEFAULT, version: str = "0.1.0"):
     """Run everything twice; the consolidated verdicts must match bytes.
 
-    Returns (report_dict, exit_status): 0 when every criterion passed and
-    the two serializations agree, 3 otherwise.
+    Returns (report_dict, exit_status, runtimes): exit status 0 when every
+    criterion passed and the two serializations agree, 3 otherwise;
+    ``runtimes`` maps criterion id to the first pass's wall-clock seconds,
+    which the report leaves out.
     """
     first = run_criteria(master_seed)
     second = run_criteria(master_seed)
@@ -478,7 +480,8 @@ def reproduce_all(master_seed: int = MASTER_SEED_DEFAULT, version: str = "0.1.0"
     }
     failed = [rec["id"] for rec in records if not rec["passed"]]
     report["failed_criteria"] = failed
-    return report, (0 if not failed else 3)
+    runtimes = {rec["id"]: rec["_runtime_s"] for rec in first}
+    return report, (0 if not failed else 3), runtimes
 
 
 def _jsonable(obj):

@@ -186,12 +186,15 @@ def achievable_rate_fraction(bq: BoundQuery) -> complex:
 def inverse_rate_achievable(bq: BoundQuery) -> float:
     """Achievability-side inverse rate.
 
-    For K/P < 2 this equals the shared closed form 1 + (K-P)/(PN); for
-    K/P >= 2 the beta/r fraction is evaluated independently and its
-    reciprocal returned (at K/P = 2 exactly, both paths agree to 1e-9,
-    which the tests assert).
+    With N = 1 the single server must ship everything, so this is K/P,
+    equal to the converse.  For K/P < 2 it equals the shared closed form
+    1 + (K-P)/(PN); for K/P >= 2 the beta/r fraction is evaluated
+    independently and its reciprocal returned (at K/P = 2 exactly, both
+    paths agree to 1e-9, which the tests assert).
     """
     K, P, N = bq.K_msg, bq.P, bq.N
+    if N == 1:
+        return K / P
     if K / P < 2:
         return 1.0 + (K - P) / (P * N)
     rate = achievable_rate_fraction(bq)

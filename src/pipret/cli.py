@@ -280,6 +280,7 @@ def cmd_audit(params: dict, master_seed: int):
         "alpha": report.alpha,
         "bonferroni_threshold": report.threshold,
         "min_pvalue": report.min_pvalue,
+        "worst_test": report.worst_test,
         "n_tests": report.n_tests,
         "tests": report.tests,
     }
@@ -398,10 +399,13 @@ def cmd_ml_demo(params: dict, master_seed: int):
 
 
 def cmd_reproduce(params: dict, master_seed: int):
-    report, status = acceptance.reproduce_all(master_seed, version=__version__)
+    report, status, runtimes = acceptance.reproduce_all(master_seed, version=__version__)
     for rec in report["criteria"]:
         verdict = "PASS" if rec["passed"] else "FAIL"
-        print(f"[{verdict}] criterion {rec['id']}: {rec['name']}", file=sys.stderr)
+        timing = ""
+        if rec["id"] in runtimes:
+            timing = f" ({runtimes[rec['id']]:.2f}s of {rec['runtime_limit_s']:g}s limit)"
+        print(f"[{verdict}] criterion {rec['id']}: {rec['name']}{timing}", file=sys.stderr)
     return report, status
 
 

@@ -40,6 +40,8 @@ from .bounds import BoundQuery, inverse_rate_achievable, inverse_rate_converse
 from .fields import Database, PairIndex, compute_table, pair_count, pair_rank
 
 MIN_AUDIT_SAMPLES = 10_000
+# permutation entries (samples * P * T * nu) drawn per chunk of a batched tally
+_TALLY_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,41 @@ class RetrievalScheme(abc.ABC):
         sorted index tuples per block)."""
         plan = self.query(space, n_servers, request, rng)
         return [_server_statistic(sq, space.T) for sq in plan.server_queries]
+
+    def tally_statistics(self, space, n_servers, request, rng, samples) -> dict:
+        """Counts of ``samples`` draws of ``query_statistics`` per audit
+        channel: ``("structure", n)`` and ``("indexes", n, f)``.
+
+        This per-sample loop is the reference for overrides.  A scheme that
+        declares ``deterministic_query`` is drawn twice, must give the same
+        statistic both times, and that statistic is counted ``samples`` times.
+        """
+        tally = _empty_tally(n_servers, space.T)
+        if self.deterministic_query:
+            first = self.query_statistics(space, n_servers, request, rng)
+            if self.query_statistics(space, n_servers, request, rng) != first:
+                raise RuntimeError(
+                    f"{self.name} declares deterministic queries but two draws differ"
+                )
+            draws, weight = [first], samples
+        else:
+            draws = (
+                self.query_statistics(space, n_servers, request, rng)
+                for _ in range(samples)
+            )
+            weight = 1
+        for stats in draws:
+            for n, (structure_key, file_keys) in enumerate(stats):
+                tally[("structure", n)][structure_key] += weight
+                for f in range(space.T):
+                    tally[("indexes", n, f)][file_keys[f]] += weight
+        return tally
+
+
+def _empty_tally(n_servers: int, T: int) -> dict:
+    channels = [("structure", n) for n in range(n_servers)]
+    channels += [("indexes", n, f) for n in range(n_servers) for f in range(T)]
+    return {ch: Counter() for ch in channels}
 
 
 def _server_statistic(server_query, T: int):
@@ -447,28 +484,55 @@ class RepeatedPirScheme(RetrievalScheme):
             raise DecodeMismatchError("decoder left symbols unassigned")
         return out
 
-    def query_statistics(self, space, n_servers, request, rng) -> list:
-        """Same statistic distribution as the generic path, without
-        materializing sums: file supports come from the cached structure and
-        index sets from the permutations applied to precomputed slot sets."""
+    # the generic query()-based statistic is the reference; it is bound by
+    # name here so tools that wrap scheme methods per class (such as
+    # perfbench/tracing.py) find it on this class
+    query_statistics = RetrievalScheme.query_statistics
+
+    def tally_statistics(self, space, n_servers, request, rng, samples) -> dict:
+        """Batched tally, count-identical to the base per-sample loop.
+
+        The permutations ``query`` would draw are drawn a chunk of samples at
+        a time by ``rng.permuted``, which consumes the generator exactly like
+        the sequential ``rng.permutation(nu)`` calls.  Each (server, file)
+        index set of a run is gathered through the cached slot layout and
+        keyed by its packed membership bits (a ``V{ceil(nu/8)}`` scalar); the
+        sorted P run keys, concatenated, are the multiset key, and the keys of
+        a chunk are counted by sorting them.  Index-channel keys are
+        therefore ``bytes``, not the index tuples of the base loop.
+        The structure keys do not depend on the permutations, so each
+        structure channel is one key counted ``samples`` times.
+        """
         self.check_supports(space, n_servers)
-        T, nu = space.T, space.nu
+        T, nu, P = space.T, space.nu, len(request)
         layout = _statistic_layout(T, n_servers, tuple(request))
-        sets = [[[] for _ in range(T)] for _ in range(n_servers)]
-        for r in range(len(request)):
-            perms = [rng.permutation(nu) for _ in range(T)]
-            slot_row = layout.run_slots[r]
+        tally = _empty_tally(n_servers, T)
+        for n in range(n_servers):
+            tally[("structure", n)][layout.structure_keys[n]] = samples
+        width = (nu + 7) // 8
+        identity = np.arange(nu, dtype=np.min_scalar_type(nu - 1))
+        chunk = max(1, _TALLY_BLOCK // (P * T * nu))
+        for start in range(0, samples, chunk):
+            S = min(chunk, samples - start)
+            perms = rng.permuted(np.broadcast_to(identity, (S, P, T, nu)), axis=-1)
             for n in range(n_servers):
-                row = slot_row[n]
                 for f in range(T):
-                    sets[n][f].append(tuple(np.sort(perms[f][row[f]]).tolist()))
-        return [
-            (
-                layout.structure_keys[n],
-                {f: tuple(sorted(sets[n][f])) for f in range(T)},
-            )
-            for n in range(n_servers)
-        ]
+                    member = np.zeros((S, P, nu), dtype=bool)
+                    for r in range(P):
+                        chosen = perms[:, r, f, layout.run_slots[r][n][f]]
+                        np.put_along_axis(member[:, r], chosen, True, axis=-1)
+                    run_keys = np.packbits(member, axis=-1).view(f"V{width}")[..., 0]
+                    keys = np.sort(run_keys, axis=1).view(np.uint8).reshape(S, -1)
+                    # lexsort on the key bytes, not np.unique on void scalars,
+                    # whose generic comparison sort is several times slower
+                    keys = keys[np.lexsort(keys.T[::-1])]
+                    differs = (keys[1:] != keys[:-1]).any(axis=1)
+                    starts = np.flatnonzero(np.r_[True, differs])
+                    counts = np.diff(np.r_[starts, S])
+                    tally[("indexes", n, f)].update(
+                        dict(zip(map(bytes, keys[starts]), counts.tolist()))
+                    )
+        return tally
 
 
 SCHEMES = {
@@ -599,9 +663,7 @@ def rate_summary(transcripts, n_servers: int) -> dict:
     bq = BoundQuery(T, P, n_servers)
     measured = measure_rate(transcripts)
     converse = inverse_rate_converse(bq)
-    achievable = (
-        inverse_rate_achievable(bq) if n_servers >= 2 or T / P < 2 else converse
-    )
+    achievable = inverse_rate_achievable(bq)
     return {
         "scheme": t0.scheme,
         "T": T,
@@ -622,7 +684,13 @@ def rate_summary(transcripts, n_servers: int) -> dict:
 
 @dataclass
 class PrivacyAuditReport:
-    """Outcome of a privacy audit over every request set of size P."""
+    """Outcome of a privacy audit over every request set of size P.
+
+    ``worst_test`` names the cause of the verdict as (channel, set1, set2,
+    pvalue): the sampled test with the smallest p-value, or, for an exact
+    audit that fails, the first server and request-set pair whose queries
+    differ (pvalue None).  It is None for an exact audit that passes.
+    """
 
     scheme: str
     mode: str
@@ -639,6 +707,7 @@ class PrivacyAuditReport:
     threshold: float | None
     samples: int | None
     min_pvalue: float | None
+    worst_test: dict | None
 
 
 def audit_privacy(
@@ -655,8 +724,9 @@ def audit_privacy(
 
     ``exact`` mode requires a scheme with deterministic queries and reports
     the worst total-variation distance between the (point-mass) query
-    distributions, which must be zero.  ``sampled`` mode draws ``samples``
-    queries per request set, canonicalizes each server's query, and runs
+    distributions, which must be zero.  ``sampled`` mode tallies the
+    canonical per-server statistic of ``samples`` queries per request set
+    (``RetrievalScheme.tally_statistics``), and runs
     pairwise two-sample chi-square tests per canonical channel; the audit
     fails when any p-value drops below alpha / n_tests (Bonferroni) or the
     per-server download counts differ across request sets.
@@ -686,7 +756,22 @@ def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
         plan = scheme.query(space, n_servers, req, np.random.default_rng(0))
         queries.append(tuple(plan.server_queries))
         counts.append(tuple(sum(len(b) for b in sq) for sq in plan.server_queries))
-    max_tv = 0.0 if all(qr == queries[0] for qr in queries) else 1.0
+    # equality is transitive, so the first differing pair involves set 0
+    differing = next(
+        (
+            {
+                "channel": f"query/server{n}",
+                "set1": list(request_sets[0]),
+                "set2": list(req),
+                "pvalue": None,
+            }
+            for req, qr in zip(request_sets[1:], queries[1:])
+            for n in range(n_servers)
+            if qr[n] != queries[0][n]
+        ),
+        None,
+    )
+    max_tv = 0.0 if differing is None else 1.0
     count_symmetric = all(c == counts[0] for c in counts)
     return PrivacyAuditReport(
         scheme=scheme.name,
@@ -704,33 +789,22 @@ def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
         threshold=None,
         samples=None,
         min_pvalue=None,
+        worst_test=differing,
     )
 
 
 def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alpha):
-    T = space.T
     # per request set: one Counter per channel; channels are the structure
     # of each server's query plus each (server, file) index-usage pattern
-    channels = [("structure", n) for n in range(n_servers)]
-    channels += [("indexes", n, f) for n in range(n_servers) for f in range(T)]
-    counters = {req: {ch: Counter() for ch in channels} for req in request_sets}
-    counts_seen = {req: set() for req in request_sets}
-
+    counters = {}
     for set_idx, req in enumerate(request_sets):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, set_idx]))
-        ctrs = counters[req]
-        for _ in range(samples):
-            stats = scheme.query_statistics(space, n_servers, req, rng)
-            for n, (structure_key, file_keys) in enumerate(stats):
-                ctrs[("structure", n)][structure_key] += 1
-                for f in range(T):
-                    ctrs[("indexes", n, f)][file_keys[f]] += 1
-        counts_seen[req] = _expected_counts(scheme, space, n_servers, req)
-
-    count_symmetric = len({counts_seen[r] for r in request_sets}) == 1
+        counters[req] = scheme.tally_statistics(space, n_servers, req, rng, samples)
+    counts_seen = {_expected_counts(scheme, space, n_servers, req) for req in request_sets}
+    count_symmetric = len(counts_seen) == 1
 
     tests = []
-    for ch in channels:
+    for ch in counters[request_sets[0]]:
         for r1, r2 in itertools.combinations(request_sets, 2):
             stat, dof, pvalue = _two_sample_chisquare(counters[r1][ch], counters[r2][ch])
             tests.append(
@@ -745,13 +819,14 @@ def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alp
             )
     n_tests = len(tests)
     threshold = alpha / max(n_tests, 1)
-    min_p = min((t["pvalue"] for t in tests), default=1.0)
+    worst = min(tests, key=lambda t: t["pvalue"], default=None)
+    min_p = 1.0 if worst is None else worst["pvalue"]
     passed = count_symmetric and min_p >= threshold
     return PrivacyAuditReport(
         scheme=scheme.name,
         mode="sampled",
         n_servers=n_servers,
-        T=T,
+        T=space.T,
         P=P,
         nu=space.nu,
         passed=passed,
@@ -763,6 +838,9 @@ def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alp
         threshold=threshold,
         samples=samples,
         min_pvalue=min_p,
+        worst_test=None if worst is None else {
+            k: worst[k] for k in ("channel", "set1", "set2", "pvalue")
+        },
     )
 
 
@@ -781,7 +859,8 @@ def _channel_label(ch) -> str:
 def _two_sample_chisquare(c1: Counter, c2: Counter, min_bucket: int = 10):
     """Two-sample chi-square with equal sample sizes; categories whose
     combined count falls below ``min_bucket`` are pooled."""
-    cats = sorted(set(c1) | set(c2), key=lambda k: -(c1[k] + c2[k]))
+    # a total order, so the summation order never depends on hashing
+    cats = sorted(set(c1) | set(c2), key=lambda k: (-(c1[k] + c2[k]), k))
     a, b = [], []
     rest_a = rest_b = 0
     for k in cats:

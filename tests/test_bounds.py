@@ -63,6 +63,14 @@ def test_achievable_examples():
     )
 
 
+def test_achievable_at_one_server_is_full_download():
+    for K in range(1, 9):
+        for P in range(1, K + 1):
+            bq = BoundQuery(K, P, 1)
+            assert inverse_rate_achievable(bq) == K / P
+            assert inverse_rate_converse(bq) == pytest.approx(K / P, abs=1e-12)
+
+
 def test_rate_fraction_orientation():
     # the displayed fraction evaluates to the known single-message rate 2/3
     frac = achievable_rate_fraction(BoundQuery(2, 1, 2))

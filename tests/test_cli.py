@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_simulate_database_mode_brackets(capsys):
     assert bracket["bracket_high"] == pytest.approx(1.25)
 
 
+def test_simulate_database_mode_single_server(capsys):
+    code, out, err = _run(
+        ["simulate", "--scheme", "full_download", "--K", "2", "--N", "1", "--seeds", "3"],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    res = json.loads(out)["results"]
+    rate = res["rate"]
+    assert rate["measured_inverse_rate"] == pytest.approx(3.0)
+    assert rate["inv_rate_achievable"] == pytest.approx(rate["inv_rate_converse"])
+    assert res["theorem_bracket"]["bracket_high"] == pytest.approx(3.0)
+
+
 def test_simulate_requires_k_or_t(capsys):
     code, _, err = _run(["simulate", "--scheme", "full_download"], capsys)
     assert code == EXIT_VALIDATION
@@ -125,6 +139,20 @@ def test_audit_command_exact(capsys):
     assert code == EXIT_OK
     res = json.loads(out)["results"]
     assert res["passed"] and res["max_tv_distance"] == 0.0
+    assert res["worst_test"] is None
+
+
+def test_audit_command_names_the_leak(capsys):
+    code, out, _ = _run(
+        ["audit", "--scheme", "leaky_index", "--mode", "sampled", "--samples", "10000",
+         "--T", "3", "--N", "2", "--P", "1"],
+        capsys,
+    )
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert not res["passed"]
+    assert res["worst_test"]["pvalue"] == res["min_pvalue"]
+    assert {"channel", "set1", "set2", "pvalue"} == set(res["worst_test"])
 
 
 def test_audit_command_sampled_has_pairwise_tests(capsys):
@@ -323,3 +351,18 @@ def test_reproduce_all_green_with_stubs(monkeypatch, tmp_path, capsys):
     verdict = json.loads(out_path.read_text())["results"]
     assert verdict["failed_criteria"] == []
     assert any(c["id"] == 10 and c["passed"] for c in verdict["criteria"])
+
+
+def test_reproduce_prints_runtime_against_limit(monkeypatch, tmp_path, capsys):
+    def fake_pass(seed):
+        return {"checks": [("ok", True)]}
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, "stub", fake_pass)])
+    monkeypatch.setattr(acceptance, "RUNTIME_LIMITS", {1: 60.0})
+    out_path = tmp_path / "verdict.json"
+    code, _, err = _run(["reproduce", "--output", str(out_path)], capsys)
+    assert code == EXIT_OK
+    assert re.search(r"\[PASS\] criterion 1: stub \(\d+\.\d\ds of 60s limit\)", err)
+    assert "[PASS] criterion 10: determinism\n" in err
+    text = out_path.read_text()
+    assert "runtime_s" not in text and "s of 60" not in text

@@ -1,13 +1,25 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from math import comb
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pipret import protocol
 
 from pipret.bounds import BoundQuery, inverse_rate_converse, single_message_inverse_rate
 from pipret.fields import PairIndex, compute_table, pair_count, random_database
 from pipret.protocol import (
     DecodeMismatchError,
+    LeakyIndexScheme,
     PairSet,
     RetrievalScheme,
     UnsupportedParameters,
@@ -24,6 +36,7 @@ from pipret.protocol import (
     scheme_repeated_pir,
     virtual_data_from_databases,
 )
+from pipret.protocol import _empty_tally
 
 
 def _random_data(space, seed=0):
@@ -312,20 +325,106 @@ def test_audit_mode_validation():
         audit_privacy(scheme_full_download(), space, 2, 5, mode="exact")
 
 
-def test_query_statistics_fast_path_matches_generic():
+def _packed_key(file_key, nu: int) -> bytes:
+    """The batched tally's key for one of the base loop's index keys: each
+    run's index set as packed membership bits, sorted and concatenated."""
+    runs = []
+    for indexes in file_key:
+        bits = np.zeros(nu, dtype=bool)
+        bits[list(indexes)] = True
+        runs.append(np.packbits(bits).tobytes())
+    return b"".join(sorted(runs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_tally_statistics_matches_per_sample_loop(data):
+    T = data.draw(st.integers(2, 4), label="T")
+    N = data.draw(st.integers(2, 3), label="N")
+    P = data.draw(st.integers(1, T), label="P")
+    request = tuple(sorted(data.draw(st.permutations(range(T)), label="files")[:P]))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    samples = data.draw(st.integers(1, 12 if N**T > 30 else 40), label="samples")
+    chunk = data.draw(st.integers(1, samples), label="chunk")
+    space = VirtualFileSpace(T=T, q=2, nu=N**T)
     sch = scheme_repeated_pir()
-    cases = [
-        (VirtualFileSpace(T=3, q=2, nu=8), 2, (1,)),
-        (VirtualFileSpace(T=3, q=2, nu=8), 2, (0, 2)),
-        (VirtualFileSpace(T=2, q=5, nu=9), 3, (1,)),
+    r_fast = np.random.default_rng(seed)
+    r_loop = np.random.default_rng(seed)
+    # a block of `chunk` samples, so the tally spans several chunks
+    with mock.patch.object(protocol, "_TALLY_BLOCK", chunk * P * T * space.nu):
+        fast = sch.tally_statistics(space, N, request, r_fast, samples)
+    loop = RetrievalScheme.tally_statistics(sch, space, N, request, r_loop, samples)
+    assert list(fast) == list(loop)
+    for ch, counter in loop.items():
+        if ch[0] == "indexes":
+            counter = Counter(
+                {_packed_key(k, space.nu): v for k, v in counter.items()}
+            )
+        assert fast[ch] == counter, ch
+    assert r_fast.bit_generator.state == r_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["leaky_index", "full_download"])
+def test_deterministic_tally_matches_per_sample_loop(name):
+    sch = make_scheme(name)
+    space = VirtualFileSpace(T=3, q=5, nu=2)
+    rng = np.random.default_rng(0)
+    tally = sch.tally_statistics(space, 2, (0, 2), rng, 50)
+    loop = _empty_tally(2, space.T)
+    for _ in range(50):
+        for n, (structure_key, file_keys) in enumerate(
+            sch.query_statistics(space, 2, (0, 2), rng)
+        ):
+            loop[("structure", n)][structure_key] += 1
+            for f in range(space.T):
+                loop[("indexes", n, f)][file_keys[f]] += 1
+    assert tally == loop
+
+
+def test_deterministic_tally_rejects_a_varying_statistic():
+    class Flaky(LeakyIndexScheme):
+        def query_statistics(self, space, n_servers, request, rng):
+            return [((rng.integers(1 << 30),), {0: ()})]
+
+    with pytest.raises(RuntimeError, match="two draws differ"):
+        Flaky().tally_statistics(
+            VirtualFileSpace(T=1, q=5, nu=1), 1, (0,), np.random.default_rng(0), 10
+        )
+
+
+def test_audits_name_the_leak_of_the_leaky_control():
+    space = VirtualFileSpace(T=3, q=5, nu=2)
+    exact = audit_privacy(scheme_leaky_index(), space, 2, 1, mode="exact")
+    assert exact.worst_test == {
+        "channel": "query/server0", "set1": [0], "set2": [1], "pvalue": None
+    }
+    sampled = audit_privacy(
+        scheme_leaky_index(), space, 2, 1, mode="sampled", samples=10_000, seed=11
+    )
+    worst = sampled.worst_test
+    assert worst["pvalue"] == sampled.min_pvalue < sampled.threshold
+    assert worst["channel"].endswith("server0")
+    assert (worst["set1"], worst["set2"]) == ([0], [1])
+    passing = audit_privacy(scheme_full_download(), space, 2, 1, mode="exact")
+    assert passing.worst_test is None
+
+
+def test_sampled_audit_json_is_independent_of_hash_seed():
+    root = Path(__file__).resolve().parents[1]
+    argv = [
+        sys.executable, "-m", "pipret.cli", "audit", "--scheme", "repeated_pir",
+        "--mode", "sampled", "--samples", "10000", "--T", "3", "--N", "2", "--P", "2",
     ]
-    for space, N, request in cases:
-        for s in range(25):
-            r1 = np.random.default_rng(np.random.SeedSequence([s]))
-            r2 = np.random.default_rng(np.random.SeedSequence([s]))
-            fast = sch.query_statistics(space, N, request, r1)
-            generic = RetrievalScheme.query_statistics(sch, space, N, request, r2)
-            assert fast == generic
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["results"]["passed"]
 
 
 def test_make_scheme_lookup():
