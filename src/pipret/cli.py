@@ -15,9 +15,6 @@ Every flag has a config-file equivalent: ``--config file.json`` loads
 values.  Reports are deterministic for a fixed (config, version, master
 seed); wall-clock time goes to stderr only.  Exit codes: 0 success,
 2 validation error, 3 verification failure, 4 I/O error.
-
-The pool for grid points and simulation runs is capped by the
-PIPRET_THREADS environment variable.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, acceptance, bounds, gram_ml, protocol, spectral
-from .fields import pair_count, random_database
+from .fields import pair_count, pair_unrank, random_database
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -97,10 +94,7 @@ def parse_range(text) -> list[int]:
 
 
 def _pool_map(fn, items):
-    cap = os.environ.get("PIPRET_THREADS", "")
     workers = min(4, os.cpu_count() or 1)
-    if cap:
-        workers = max(1, int(cap))
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -134,14 +128,14 @@ def cmd_spectrum(params: dict, master_seed: int):
     q, K = int(params["q"]), int(params["K"])
     d = spectral.delta_distribution(q, K)
     spec = spectral.spectrum_via_characters(d)
-    rep = spectral.is_irreducible(d, check_power=True)
+    rep = spectral.is_irreducible(d)
     return {
         "q": q,
         "K": K,
         "T": d.T,
         "lambda2": spec.lambda2,
         "irreducible": rep.irreducible,
-        "gamma_checked": bool(rep.gamma_checked and rep.gamma_all_positive),
+        "gamma_all_positive": rep.gamma_all_positive,
     }, EXIT_OK
 
 
@@ -195,7 +189,7 @@ def cmd_simulate(params: dict, master_seed: int):
             dbs = [random_database(q, int(K), L, ss.spawn(1)[0]) for _ in range(nu)]
             tr = protocol.retrieve_pairs(
                 scheme,
-                protocol.PairSet({_unrank(int(K), r) for r in request}),
+                protocol.PairSet({pair_unrank(int(K), r) for r in request}),
                 dbs,
                 N,
                 seed=np.random.SeedSequence(entropy=[master_seed, i, 1]),
@@ -237,12 +231,6 @@ def cmd_simulate(params: dict, master_seed: int):
                 "bracket_high": cb.bracket[1],
             }
     return results, EXIT_OK
-
-
-def _unrank(K: int, r: int):
-    from .fields import pair_unrank
-
-    return pair_unrank(K, r)
 
 
 def cmd_audit(params: dict, master_seed: int):

@@ -429,9 +429,6 @@ class RepeatedPirScheme(RetrievalScheme):
     def supports(self, space, n_servers) -> bool:
         return n_servers >= 2 and space.nu == n_servers**space.T
 
-    def run_structure(self, T: int, N: int) -> _RunStructure:
-        return _pir_run_structure(T, N)
-
     def query(self, space, n_servers, request, rng) -> QueryPlan:
         self.check_supports(space, n_servers)
         T, nu = space.T, space.nu

@@ -11,8 +11,11 @@ table forgets its initial distribution.
 Because the transition operator depends only on state differences, it is a
 convolution operator on the group and its full spectrum is the multi-
 dimensional discrete Fourier transform of the increment distribution: an
-O(q^T log q^T) computation instead of an O(q^(3T)) eigendecomposition.  The
-dense matrix path is retained purely as a brute-force oracle.
+O(q^T log q^T) computation instead of an O(q^(3T)) eigendecomposition.
+Irreducibility and strict positivity of M^(5T) are decided by the same
+transform, as Fourier-domain convolutions of level-set indicators.  The
+dense matrix path is retained purely as a brute-force oracle for tests and
+acceptance.
 
 Evolution of the walk is carried out in exact integer arithmetic whenever
 the state space allows: the distribution after L steps is a vector of
@@ -30,11 +33,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Database, PairIndex, compute_table, pair_count, pair_rank, pair_unrank
+from .fields import Database, PairIndex, compute_table, is_prime, pair_count, pair_rank, pair_unrank
 
 ENUMERATION_LIMIT = 2**20   # largest q^T enumerated for distributions
 DENSE_LIMIT = 2**12         # largest q^T materialized as a dense matrix
-POSITIVITY_LIMIT = 2**9     # largest q^T for the matrix-power positivity check
 EXACT_EVOLVE_LIMIT = 2**12  # largest q^T evolved in exact integer arithmetic
 MAX_TRACE_LENGTH = 1000
 
@@ -50,16 +52,6 @@ def _state_count(q: int, K: int) -> tuple[int, int]:
 def _index_powers(q: int, T: int) -> np.ndarray:
     # big-endian: coordinate 0 is the most significant digit
     return q ** np.arange(T - 1, -1, -1, dtype=np.int64)
-
-
-def _decode_states(q: int, T: int, n: int) -> np.ndarray:
-    """All n = q^T states as digit rows, in index order."""
-    idx = np.arange(n, dtype=np.int64)
-    digits = np.empty((n, T), dtype=np.int64)
-    for t in range(T - 1, -1, -1):
-        digits[:, t] = idx % q
-        idx //= q
-    return digits
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ def delta_distribution(q: int, K: int) -> DeltaDistribution:
     Raises ValueError when q is not prime or q^T exceeds the enumeration
     guard.
     """
-    if not _is_prime(q):
+    if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     T, n = _state_count(q, K)
     cols = np.indices((q,) * K).reshape(K, -1).T.astype(np.int64)
@@ -98,21 +90,6 @@ def delta_distribution(q: int, K: int) -> DeltaDistribution:
     idx = increments @ _index_powers(q, T)
     counts = np.bincount(idx, minlength=n).astype(np.int64)
     return DeltaDistribution(q=q, K=K, T=T, counts=counts, probs=counts / float(q**K))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -135,7 +112,7 @@ def transition_dense(q: int, K: int) -> TransitionOperator:
     if n > DENSE_LIMIT:
         raise ValueError(f"dense materialization of {n} states exceeds {DENSE_LIMIT}")
     powers = _index_powers(q, d.T)
-    states = _decode_states(q, d.T, n)
+    states = np.indices((q,) * d.T).reshape(d.T, -1).T
     M = np.empty((n, n), dtype=float)
     for i in range(n):
         diff = (states[i][None, :] - states) % q
@@ -186,75 +163,58 @@ def spectrum_dense_oracle(m: TransitionOperator) -> Spectrum:
 
 @dataclass(frozen=True)
 class IrreducibilityReport:
-    """Outcome of the reachability checks: does the increment support
-    generate the whole group, and (when cheap enough) is every entry of
-    M**gamma strictly positive for the witness exponent gamma = 5T."""
+    """Outcome of the level-set walk: does the increment support generate
+    the whole group, and is every entry of M**gamma strictly positive for
+    the witness exponent gamma = 5T."""
 
     irreducible: bool
     reached: int
     group_size: int
     gamma: int
-    gamma_checked: bool
-    gamma_all_positive: bool | None
+    gamma_all_positive: bool
 
 
-def is_irreducible(d: DeltaDistribution, check_power: bool = True) -> IrreducibilityReport:
-    """Breadth-first closure of the increment support inside F(q)^T.
+def is_irreducible(d: DeltaDistribution) -> IrreducibilityReport:
+    """Level sets S_0 = {0}, S_k = S_(k-1) + support of the walk in F(q)^T.
 
-    The chain is irreducible iff the closure is the full group.  For
-    q^T <= 512 (and ``check_power``), additionally verifies that every
-    entry of the gamma-step transition matrix is positive with gamma = 5T.
+    Each step convolves the 0/1 indicator of S_(k-1) with that of the
+    support over the group by FFT; the convolution counts representations,
+    integers in [0, |support|], so it is rounded, and ArithmeticError is
+    raised if any entry lies 0.25 or more from an integer.  The walk stops
+    once a level set is the whole group (G + s = G keeps it full), or once
+    k >= gamma and the union of the level sets has stopped growing.
+
+    The chain is irreducible iff that union is the whole group.  M**gamma
+    has entry (i, j) positive iff y_i - y_j lies in S_gamma, so
+    ``gamma_all_positive`` is whether S_gamma is the whole group; this
+    needs no zero increment in the support.
     """
     q, T = d.q, d.T
+    shape = (q,) * T
     n = q**T
-    powers = _index_powers(q, T)
-    support = _decode_states(q, T, n)[d.support_indices]
-
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros((1, T), dtype=np.int64)
-    chunk = max(1, (1 << 22) // max(1, len(support)))
-    while len(frontier):
-        new_rows = []
-        for lo in range(0, len(frontier), chunk):
-            block = frontier[lo : lo + chunk]
-            cand = (block[:, None, :] + support[None, :, :]) % q
-            cand_idx = cand.reshape(-1, T) @ powers
-            fresh = np.unique(cand_idx[~reached[cand_idx]])
-            if len(fresh):
-                reached[fresh] = True
-                new_rows.append(fresh)
-        if not new_rows:
-            break
-        nxt = np.concatenate(new_rows)
-        frontier = _decode_states_from(nxt, q, T)
-    total = int(reached.sum())
-
     gamma = 5 * T
-    gamma_checked = False
-    all_positive = None
-    if check_power and n <= POSITIVITY_LIMIT:
-        M = transition_dense(q, d.K).matrix
-        Mg = np.linalg.matrix_power(M, gamma)
-        all_positive = bool((Mg > 0).all())
-        gamma_checked = True
+    support_hat = np.fft.fftn((d.counts > 0).reshape(shape))
+    level = np.zeros(shape, dtype=bool)
+    level.flat[0] = True
+    union = level.copy()
+    k, grown = 0, True
+    while not level.all() and (k < gamma or grown):
+        conv = np.fft.ifftn(np.fft.fftn(level) * support_hat).real
+        counts = np.rint(conv)
+        if np.abs(conv - counts).max() >= 0.25:
+            raise ArithmeticError(f"level-set convolution off the integers at step {k + 1}")
+        level = counts > 0
+        k += 1
+        grown = bool((level & ~union).any())
+        union |= level
+    reached = int(union.sum())
     return IrreducibilityReport(
-        irreducible=(total == n),
-        reached=total,
+        irreducible=(reached == n),
+        reached=reached,
         group_size=n,
         gamma=gamma,
-        gamma_checked=gamma_checked,
-        gamma_all_positive=all_positive,
+        gamma_all_positive=bool(level.all() and k <= gamma),
     )
-
-
-def _decode_states_from(indices: np.ndarray, q: int, T: int) -> np.ndarray:
-    idx = indices.astype(np.int64).copy()
-    digits = np.empty((len(idx), T), dtype=np.int64)
-    for t in range(T - 1, -1, -1):
-        digits[:, t] = idx % q
-        idx //= q
-    return digits
 
 
 def sum_two_squares(q: int, a: int) -> tuple[int, int]:
@@ -390,7 +350,7 @@ def _evolve_exact(d: DeltaDistribution, L_max: int, store: bool):
     q, T = d.q, d.T
     n = q**T
     powers = _index_powers(q, T)
-    states = _decode_states(q, T, n)
+    states = np.indices((q,) * T).reshape(T, -1).T
     support_idx = d.support_indices
     support = states[support_idx]
     shift_perms = [
@@ -510,7 +470,6 @@ def subset_entropy(p: np.ndarray, q: int, K: int, pairs) -> EntropyResult:
 
 def entropy_deficit_bits(p: np.ndarray, q: int, K: int, pairs) -> float:
     """P*log2(q) - H(selected coordinates), always >= 0."""
-    T = pair_count(K)
     ranks = [pr if isinstance(pr, (int, np.integer)) else pair_rank(K, pr) for pr in pairs]
     P = len(set(ranks))
     return P * math.log2(q) - subset_entropy(p, q, K, pairs).bits
@@ -519,7 +478,6 @@ def entropy_deficit_bits(p: np.ndarray, q: int, K: int, pairs) -> float:
 __all__ = [
     "ENUMERATION_LIMIT",
     "DENSE_LIMIT",
-    "POSITIVITY_LIMIT",
     "DeltaDistribution",
     "delta_distribution",
     "TransitionOperator",

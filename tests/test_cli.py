@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pipret import acceptance, bounds, spectral
+from pipret import acceptance, bounds, cli, spectral
 from pipret.cli import (
     EXIT_ACCEPTANCE,
     EXIT_IO,
@@ -67,9 +67,9 @@ def test_spectrum_command_exact_keys(capsys):
     code, out, _ = _run(["spectrum", "--q", "2", "--K", "2"], capsys)
     assert code == EXIT_OK
     res = json.loads(out)["results"]
-    assert set(res) == {"q", "K", "T", "lambda2", "irreducible", "gamma_checked"}
+    assert set(res) == {"q", "K", "T", "lambda2", "irreducible", "gamma_all_positive"}
     assert res["lambda2"] == pytest.approx(0.5, abs=1e-12)
-    assert res["irreducible"] and res["gamma_checked"]
+    assert res["irreducible"] and res["gamma_all_positive"]
 
 
 def test_converge_csv_halves_l2(capsys):
@@ -265,7 +265,7 @@ def test_reports_byte_identical_for_same_config():
 
 
 def test_simulate_reports_byte_identical_with_pool(monkeypatch):
-    monkeypatch.setenv("PIPRET_THREADS", "4")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     parser = build_parser()
     args = parser.parse_args(
         ["simulate", "--scheme", "repeated_pir", "--T", "2", "--N", "2", "--P", "1",
@@ -273,7 +273,7 @@ def test_simulate_reports_byte_identical_with_pool(monkeypatch):
     )
     config = resolve_config(args)
     first = render_report(dispatch(config)[0], config.fmt)
-    monkeypatch.setenv("PIPRET_THREADS", "1")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
     second = render_report(dispatch(config)[0], config.fmt)
     assert first == second
 

@@ -36,7 +36,7 @@ from pipret.protocol import (
     scheme_repeated_pir,
     virtual_data_from_databases,
 )
-from pipret.protocol import _empty_tally
+from pipret.protocol import _empty_tally, _pir_run_structure
 
 
 def _random_data(space, seed=0):
@@ -145,9 +145,8 @@ def test_repeated_pir_unsupported_params():
 
 
 def test_repeated_pir_structure_counts():
-    sch = scheme_repeated_pir()
     for T, N in [(2, 2), (3, 2), (3, 3), (4, 2)]:
-        st = sch.run_structure(T, N)
+        st = _pir_run_structure(T, N)
         # desired pool exactly exhausted, undesired pools at N^(T-1)
         assert st.used[0] == N**T
         for k in range(1, T):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipret.fields import PairIndex, pair_count
 from pipret.spectral import (
     ConvergenceTrace,
+    DeltaDistribution,
     accumulate_increment,
     delta_distribution,
     entropy_deficit_bits,
@@ -147,7 +150,7 @@ def _span_rank_mod_q(vectors, q):
 def test_irreducibility_bfs_and_rank_oracle_agree():
     for q, K in [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (7, 2)]:
         d = delta_distribution(q, K)
-        rep = is_irreducible(d, check_power=False)
+        rep = is_irreducible(d)
         support = []
         for idx in d.support_indices:
             digits = []
@@ -162,25 +165,102 @@ def test_irreducibility_bfs_and_rank_oracle_agree():
         assert rep.reached == rep.group_size
 
 
-def test_irreducibility_detects_proper_subgroup():
-    # plant a distribution supported on a 2-element subgroup of F(2)^3
-    from pipret.spectral import DeltaDistribution
+def _planted(q, T, counts):
+    # K is not read by the walk; T alone fixes the group F(q)^T
+    counts = np.asarray(counts, dtype=np.int64)
+    return DeltaDistribution(q=q, K=T, T=T, counts=counts, probs=counts / counts.sum())
 
+
+def _bool_matrix_power(A, k):
+    result = np.eye(len(A))
+    while k:
+        if k & 1:
+            result = (result @ A > 0).astype(float)
+        A = (A @ A > 0).astype(float)
+        k >>= 1
+    return result > 0
+
+
+def _dense_oracle(d):
+    """(irreducible, reached, gamma_all_positive) from dense matrix powers:
+    entry (i, j) of M**k is positive iff y_i - y_j is a k-step increment."""
+    n = d.q**d.T
+    states = np.indices((d.q,) * d.T).reshape(d.T, -1).T
+    powers = d.q ** np.arange(d.T - 1, -1, -1)
+    diff = (states[:, None, :] - states[None, :, :]) % d.q
+    A = (d.probs[diff @ powers] > 0).astype(float)
+    reached = int(_bool_matrix_power(np.eye(n) + A, n - 1)[:, 0].sum())
+    return reached == n, reached, bool(_bool_matrix_power(A, 5 * d.T).all())
+
+
+def _report_triple(rep):
+    return rep.irreducible, rep.reached, rep.gamma_all_positive
+
+
+@pytest.mark.parametrize(
+    "q, T, support, expected",
+    [
+        # periodic: Z2 with support {1} alternates between {0} and {1}
+        (2, 1, [1], (True, 2, False)),
+        # S_5 = {0..5}; the level sets fill Z17 only at step 16
+        (17, 1, [0, 1], (True, 17, False)),
+    ],
+)
+def test_irreducibility_explicit_laws(q, T, support, expected):
+    counts = np.zeros(q**T, dtype=np.int64)
+    counts[support] = 2
+    d = _planted(q, T, counts)
+    assert _report_triple(is_irreducible(d)) == expected == _dense_oracle(d)
+
+
+def test_irreducibility_detects_proper_subgroup():
+    # plant a distribution supported on the 2-element subgroup {000, 111} of F(2)^3
     counts = np.zeros(8, dtype=np.int64)
     counts[0] = 2
     counts[7] = 2
-    d = DeltaDistribution(q=2, K=2, T=3, counts=counts, probs=counts / 4)
-    rep = is_irreducible(d, check_power=False)
-    assert not rep.irreducible
-    assert rep.reached == 2
+    d = _planted(2, 3, counts)
+    assert _report_triple(is_irreducible(d)) == (False, 2, False) == _dense_oracle(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_irreducibility_matches_dense_oracle_on_planted_laws(data):
+    q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
+    T = data.draw(st.integers(1, 3), label="T")
+    n = q**T
+    support = data.draw(
+        st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 1, 6)), label="support"
+    )
+    if data.draw(st.booleans(), label="with_zero"):
+        support = support | {0}
+    counts = np.zeros(n, dtype=np.int64)
+    for i in sorted(support):
+        counts[i] = data.draw(st.integers(1, 9), label=f"count{i}")
+    d = _planted(q, T, counts)
+    rep = is_irreducible(d)
+    assert rep.group_size == n
+    assert rep.gamma == 5 * T
+    assert _report_triple(rep) == _dense_oracle(d)
+
+
+def test_irreducibility_rejects_off_integer_convolution(monkeypatch):
+    ifftn = np.fft.ifftn
+    monkeypatch.setattr(np.fft, "ifftn", lambda a: ifftn(a) + 0.3)
+    with pytest.raises(ArithmeticError):
+        is_irreducible(delta_distribution(2, 2))
 
 
 def test_matrix_power_positivity():
     for q, K in [(2, 2), (3, 2), (5, 2), (2, 3)]:
-        rep = is_irreducible(delta_distribution(q, K), check_power=True)
+        op = transition_dense(q, K)
+        rep = is_irreducible(op.delta)
         assert rep.gamma == 5 * pair_count(K)
-        assert rep.gamma_checked
+        assert (np.linalg.matrix_power(op.matrix, rep.gamma) > 0).all()
         assert rep.gamma_all_positive
+    # beyond the dense oracle's reach; the reachability witnesses reach
+    # every state in 5T steps because the zero increment is in the support
+    for q, K in [(2, 4), (3, 3), (5, 3), (2, 5)]:
+        assert is_irreducible(delta_distribution(q, K)).gamma_all_positive
 
 
 def test_sum_two_squares_examples():
