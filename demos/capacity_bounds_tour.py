@@ -59,11 +59,12 @@ print("=" * 72)
 bq = BoundQuery(6, 2, 2)
 rc = solve_root_coefficients(bq)
 print(f"  roots     : {np.round(rc.roots, 6)}")
-print(f"  betas     : {np.round(rc.coefficients, 6)}")
+print(f"  betas     : {np.round(rc.coefficients, 6)} (Vandermonde inverse, closed form)")
 print(f"  residual  : {rc.max_residual:.2e} (defining equations)")
 frac = achievable_rate_fraction(bq)
 print(f"  fraction  : {frac.real:.6f} -> inverse rate {1 / frac.real:.6f}")
-print("  (the fraction itself is the rate; its reciprocal is reported)")
+print("  (the fraction itself is the rate, summed in closed form over the P")
+print("   roots of unity; its reciprocal is reported)")
 
 print()
 print("=" * 72)

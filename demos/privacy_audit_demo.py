@@ -10,18 +10,18 @@ leaky scheme shows the audit actually catches violations.
 """
 
 from pipret.protocol import (
+    FullDownloadScheme,
+    LeakyIndexScheme,
+    RepeatedPirScheme,
     VirtualFileSpace,
     audit_privacy,
-    scheme_full_download,
-    scheme_leaky_index,
-    scheme_repeated_pir,
 )
 
 print("=" * 72)
 print("1. Exact audit of the constant-query baseline")
 print("=" * 72)
 space = VirtualFileSpace(T=3, q=5, nu=2)
-rep = audit_privacy(scheme_full_download(), space, 2, 2, mode="exact")
+rep = audit_privacy(FullDownloadScheme(), space, 2, 2, mode="exact")
 print(f"  scheme={rep.scheme}  request sets of size {rep.P} out of T={rep.T}")
 print(f"  max total-variation distance: {rep.max_tv_distance}")
 print(f"  per-server download counts identical: {rep.count_symmetric}")
@@ -31,7 +31,7 @@ print()
 print("=" * 72)
 print("2. Negative control: a scheme that sends the request in the clear")
 print("=" * 72)
-rep = audit_privacy(scheme_leaky_index(), space, 2, 2, mode="exact")
+rep = audit_privacy(LeakyIndexScheme(), space, 2, 2, mode="exact")
 print(f"  scheme={rep.scheme}")
 print(f"  max total-variation distance: {rep.max_tv_distance}")
 print(f"  first difference: {rep.worst_test}")
@@ -43,7 +43,7 @@ print("3. Sampled audit of the randomized subpacketized scheme")
 print("=" * 72)
 space = VirtualFileSpace(T=3, q=2, nu=8)
 rep = audit_privacy(
-    scheme_repeated_pir(), space, 2, 1, mode="sampled", samples=20_000, seed=42
+    RepeatedPirScheme(), space, 2, 1, mode="sampled", samples=20_000, seed=42
 )
 print(f"  {rep.samples} sampled queries per request set; "
       f"{rep.n_tests} pairwise chi-square tests over canonical channels")
@@ -65,7 +65,7 @@ print("4. The leaky scheme also fails the sampled audit")
 print("=" * 72)
 space = VirtualFileSpace(T=3, q=5, nu=2)
 rep = audit_privacy(
-    scheme_leaky_index(), space, 2, 1, mode="sampled", samples=10_000, seed=42
+    LeakyIndexScheme(), space, 2, 1, mode="sampled", samples=10_000, seed=42
 )
 print(f"  min p-value {rep.min_pvalue:.3e}, worst test {rep.worst_test}")
 print(f"  verdict: {'PASS' if rep.passed else 'FAIL'}  (failing is the point)")

@@ -12,14 +12,14 @@ import numpy as np
 from pipret.bounds import BoundQuery, inverse_rate_converse, single_message_inverse_rate
 from pipret.fields import PairIndex, compute_table, random_database
 from pipret.protocol import (
+    FullDownloadScheme,
     PairSet,
+    RepeatedPirScheme,
     VirtualFileSpace,
     measure_rate,
     rate_summary,
     retrieve_pairs,
     run_retrieval,
-    scheme_full_download,
-    scheme_repeated_pir,
 )
 
 print("=" * 72)
@@ -27,7 +27,7 @@ print("1. One run in detail: subpacketized retrieval, T=2 files, N=2 servers")
 print("=" * 72)
 space = VirtualFileSpace(T=2, q=5, nu=4)
 data = np.random.default_rng(7).integers(0, 5, size=(2, 4))
-tr = run_retrieval(scheme_repeated_pir(), space, 2, (0,), data, seed=11)
+tr = run_retrieval(RepeatedPirScheme(), space, 2, (0,), data, seed=11)
 print(f"  replicated data (rows = virtual files):\n    {data.tolist()}")
 for n, server_query in enumerate(tr.queries):
     for block in server_query:
@@ -48,7 +48,7 @@ K, q, N = 2, 5, 2
 nu = N ** 3  # subpacketization for T = K(K+1)/2 = 3
 databases = [random_database(q, K, L=6, seed=s) for s in range(nu)]
 pairs = PairSet({PairIndex(1, 2)})
-tr = retrieve_pairs(scheme_repeated_pir(), pairs, databases, N, seed=3)
+tr = retrieve_pairs(RepeatedPirScheme(), pairs, databases, N, seed=3)
 truth = [int(compute_table(db).get(PairIndex(1, 2))) for db in databases]
 print(f"  requested pair {{1,2}} across {nu} database instances")
 print(f"  decoded : {tr.decoded[0].tolist()}")
@@ -62,11 +62,11 @@ print("3. Measured rates against the bounds")
 print("=" * 72)
 rows = []
 for scheme, T, P, N, nu in [
-    (scheme_full_download(), 3, 1, 1, 2),
-    (scheme_full_download(), 3, 2, 2, 2),
-    (scheme_repeated_pir(), 3, 1, 2, 8),
-    (scheme_repeated_pir(), 3, 2, 2, 8),
-    (scheme_repeated_pir(), 2, 1, 3, 9),
+    (FullDownloadScheme(), 3, 1, 1, 2),
+    (FullDownloadScheme(), 3, 2, 2, 2),
+    (RepeatedPirScheme(), 3, 1, 2, 8),
+    (RepeatedPirScheme(), 3, 2, 2, 8),
+    (RepeatedPirScheme(), 2, 1, 3, 9),
 ]:
     space = VirtualFileSpace(T=T, q=5, nu=nu)
     transcripts = []

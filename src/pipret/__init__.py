@@ -42,16 +42,16 @@ from .gram_ml import (
     svm_dual_train,
 )
 from .protocol import (
+    FullDownloadScheme,
+    LeakyIndexScheme,
     PairSet,
+    RepeatedPirScheme,
     RetrievalTranscript,
     VirtualFileSpace,
     audit_privacy,
     measure_rate,
     retrieve_pairs,
     run_retrieval,
-    scheme_full_download,
-    scheme_leaky_index,
-    scheme_repeated_pir,
 )
 from .spectral import (
     DeltaDistribution,

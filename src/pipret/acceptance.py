@@ -231,9 +231,9 @@ def criterion_capacity_formulas(master_seed: int) -> dict:
 
 def criterion_protocol(master_seed: int) -> dict:
     checks = []
-    rp = protocol.scheme_repeated_pir()
-    fd = protocol.scheme_full_download()
-    leaky = protocol.scheme_leaky_index()
+    rp = protocol.RepeatedPirScheme()
+    fd = protocol.FullDownloadScheme()
+    leaky = protocol.LeakyIndexScheme()
 
     points = [
         (rp, protocol.VirtualFileSpace(T=3, q=5, nu=8), 2, (1,)),
@@ -296,8 +296,8 @@ def criterion_rate_brackets(master_seed: int) -> dict:
             )
         return protocol.measure_rate(transcripts)
 
-    fd = protocol.scheme_full_download()
-    rp = protocol.scheme_repeated_pir()
+    fd = protocol.FullDownloadScheme()
+    rp = protocol.RepeatedPirScheme()
 
     n1_ok = True
     tag = 0

@@ -6,7 +6,9 @@ retrieving P messages out of K_msg from N replicated servers:
 * the converse-side expression (floor/fraction geometric sum for
   K_msg/P >= 2, the shared linear form below that), and
 * the achievability-side expression built from the complex roots r_i and
-  coefficients beta_i.
+  coefficients beta_i, both in closed form: beta_i from the inverse of a
+  Vandermonde system, the rate from two P-term sums.  An LU solve of the
+  system is the oracle for both in the tests.
 
 On top of those, ``theorem1_bounds`` produces the bracket for the capacity
 of inner-product retrieval with K files (K_msg = K(K+1)/2 virtual messages)
@@ -109,44 +111,36 @@ def _working_dps(K: int) -> int:
     return 30 + K
 
 
-def _solve_system_mp(K: int, P: int, N: int):
-    """Roots, coefficients, and residual of the defining equations, in
-    extended precision (list of mpc, list of mpc, mpf)."""
-    roots = []
-    n_root = mp.power(N, mp.mpf(1) / P)
-    for i in range(1, P + 1):
-        w = mp.expjpi(mp.mpf(2 * (i - 1)) / P)
-        roots.append(w / (n_root - w))
-    A = mp.matrix(P, P)
-    for k in range(1, P + 1):
-        for i in range(P):
-            A[k - 1, i] = roots[i] ** (-k)
-    rhs = mp.matrix(P, 1)
-    rhs[P - 1] = mp.mpf(N - 1) ** (K - P)
-    beta = mp.lu_solve(A, rhs)
-    resid = A * beta - rhs
-    max_residual = max(abs(resid[k]) for k in range(P))
-    return roots, [beta[i] for i in range(P)], max_residual
+def _closed_form_system(K: int, P: int, N: int):
+    """Roots r_i and coefficients beta_i (lists of mpc) at the current
+    mpmath precision."""
+    rho = mp.root(N, P)
+    w = [mp.expjpi(mp.mpf(2 * i) / P) for i in range(P)]
+    roots = [wi / (rho - wi) for wi in w]
+    c = mp.mpf(N - 1) ** (K - P)
+    return roots, [c * r / (P * rho ** (P - 1) * wi) for r, wi in zip(roots, w)]
 
 
 def solve_root_coefficients(bq: BoundQuery) -> RootCoefficients:
-    """Roots r_i = w_i / (N**(1/P) - w_i) with w_i the P-th roots of unity,
-    and beta_i solving sum_i beta_i r_i**-P = (N-1)**(K-P),
+    """Roots r_i = w_i / (rho - w_i), rho = N**(1/P), w_i the P-th roots of
+    unity, and beta_i solving sum_i beta_i r_i**-P = (N-1)**(K-P),
     sum_i beta_i r_i**-k = 0 for k in [1, P-1].
 
-    The system is solved by LU elimination with partial pivoting in
-    extended precision, so the defining-equation residuals clear the 1e-9
-    gate even when (N-1)**(K-P) is large; the exported arrays are
-    complex128 downcasts.  Raises ValueError for N = 1 (the system
-    degenerates; the converse formula covers that case) and
-    ArithmeticError when the residual gate fails anyway.
+    In x_i = 1/r_i = rho * conj(w_i) - 1 the system is Vandermonde, whose
+    inverse gives beta_i = (N-1)**(K-P) r_i / (P rho**(P-1) w_i).  The
+    defining-equation residuals are evaluated in extended precision and
+    gated at 1e-9; the exported arrays are complex128 downcasts.  Raises
+    ValueError for N = 1 (the system degenerates; the converse formula
+    covers that case) and ArithmeticError when the residual gate fails.
     """
     K, P, N = bq.K_msg, bq.P, bq.N
     if N < 2:
         raise ValueError("root/coefficient system requires N >= 2")
     with mp.workdps(_working_dps(K)):
-        roots, beta, max_residual = _solve_system_mp(K, P, N)
-        max_residual = float(max_residual)
+        roots, beta = _closed_form_system(K, P, N)
+        resid = [mp.fsum(b * r**-k for b, r in zip(beta, roots)) for k in range(1, P + 1)]
+        resid[-1] -= mp.mpf(N - 1) ** (K - P)
+        max_residual = float(max(abs(v) for v in resid))
     if max_residual >= RESIDUAL_TOL:
         raise ArithmeticError(
             f"coefficient system residual {max_residual:.3e} exceeds {RESIDUAL_TOL}"
@@ -159,27 +153,26 @@ def solve_root_coefficients(bq: BoundQuery) -> RootCoefficients:
 
 
 def achievable_rate_fraction(bq: BoundQuery) -> complex:
-    """The displayed beta/r fraction, evaluated as written (returns the
-    rate).  Evaluated in extended precision: the sums cancel catastrophically
-    in double precision once K grows."""
+    """The displayed beta/r fraction (returns the rate), in closed form.
+
+    With 1 + 1/r_i = rho * conj(w_i) and conj(w_i)**P = 1, the fraction
+    collapses to (N-1) rho**(K-P) S1 / (rho**K S1 - S0), where
+    S1 = sum_i conj(w_i)**(K+1) x_i**(P-K-1) and
+    S0 = sum_i conj(w_i) x_i**(P-K-1), x_i = 1/r_i; no beta is needed.  Evaluated in
+    extended precision: the sums cancel in double precision once K grows.
+    """
     K, P, N = bq.K_msg, bq.P, bq.N
     if N < 2:
         raise ValueError("rate fraction requires N >= 2")
     with mp.workdps(_working_dps(K)):
-        roots, beta, max_residual = _solve_system_mp(K, P, N)
-        if float(max_residual) >= RESIDUAL_TOL:
-            raise ArithmeticError(
-                f"coefficient system residual {float(max_residual):.3e} "
-                f"exceeds {RESIDUAL_TOL}"
-            )
-        num = mp.mpc(0)
-        den = mp.mpc(0)
-        for r, b in zip(roots, beta):
-            base = (1 + 1 / r) ** K
-            weight = b * r ** (K - P)
-            num += weight * (base - (1 + 1 / r) ** (K - P))
-            den += weight * (base - 1)
-        rate = num / den
+        rho = mp.root(N, P)
+        s1 = s0 = mp.mpc(0)
+        for i in range(P):
+            wbar = mp.expjpi(mp.mpf(-2 * i) / P)
+            t = (rho * wbar - 1) ** (P - K - 1)
+            s1 += wbar ** (K + 1) * t
+            s0 += wbar * t
+        rate = (N - 1) * rho ** (K - P) * s1 / (rho**K * s1 - s0)
         return complex(rate)
 
 

@@ -151,6 +151,7 @@ def cmd_converge(params: dict, master_seed: int):
             "sup_dist": float(trace.sup_dists[L - 1]),
             "l2_dist": float(trace.l2_dists[L - 1]),
             "lambda2_power": lam2 ** (L - 1),
+            "exact": trace.exact,
         }
         for L in range(1, L_max + 1)
     ]

@@ -365,7 +365,7 @@ def private_gram(
     from . import protocol  # local import: protocol does not need gram_ml
 
     if scheme is None:
-        scheme = protocol.scheme_full_download()
+        scheme = protocol.FullDownloadScheme()
     db = encode_dataset(X, codec)
     pairs = protocol.PairSet(set(PairOrdering(db.K)))
     transcript = protocol.retrieve_pairs(scheme, pairs, [db], n_servers, seed)

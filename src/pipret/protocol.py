@@ -539,18 +539,6 @@ SCHEMES = {
 }
 
 
-def scheme_full_download() -> FullDownloadScheme:
-    return FullDownloadScheme()
-
-
-def scheme_repeated_pir() -> RepeatedPirScheme:
-    return RepeatedPirScheme()
-
-
-def scheme_leaky_index() -> LeakyIndexScheme:
-    return LeakyIndexScheme()
-
-
 def make_scheme(name: str) -> RetrievalScheme:
     try:
         return SCHEMES[name]()
@@ -894,9 +882,6 @@ __all__ = [
     "LeakyIndexScheme",
     "RepeatedPirScheme",
     "SCHEMES",
-    "scheme_full_download",
-    "scheme_repeated_pir",
-    "scheme_leaky_index",
     "make_scheme",
     "per_server_download",
     "run_retrieval",

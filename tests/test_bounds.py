@@ -1,10 +1,15 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipret.bounds import (
     BoundQuery,
+    _closed_form_system,
+    _working_dps,
     achievable_rate_fraction,
     capacity_grid,
     corollary_limits,
@@ -102,6 +107,49 @@ def test_achievable_never_beats_converse_grid():
                 assert ach >= con - 1e-9
                 assert 1.0 - 1e-12 <= con <= K / P + 1e-9
                 assert 1.0 - 1e-12 <= ach <= K / P + 1e-9
+
+
+def _lu_oracle(K, P, N):
+    """beta by LU elimination of the defining system, and the beta/r rate
+    fraction evaluated as written, in the library's working precision."""
+    rho = mp.power(N, mp.mpf(1) / P)
+    roots = [mp.expjpi(mp.mpf(2 * i) / P) for i in range(P)]
+    roots = [w / (rho - w) for w in roots]
+    A = mp.matrix(P, P)
+    for k in range(1, P + 1):
+        for i in range(P):
+            A[k - 1, i] = roots[i] ** (-k)
+    rhs = mp.matrix(P, 1)
+    rhs[P - 1] = mp.mpf(N - 1) ** (K - P)
+    beta = mp.lu_solve(A, rhs)
+    num = den = mp.mpc(0)
+    for i, r in enumerate(roots):
+        base = (1 + 1 / r) ** K
+        weight = beta[i] * r ** (K - P)
+        num += weight * (base - (1 + 1 / r) ** (K - P))
+        den += weight * (base - 1)
+    return [beta[i] for i in range(P)], num / den
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_closed_forms_match_lu_oracle(data):
+    K = data.draw(st.integers(1, 20), label="K")
+    P = data.draw(st.integers(1, min(K, 10)), label="P")
+    N = data.draw(st.integers(2, 8), label="N")
+    with mp.workdps(_working_dps(K)):
+        beta_lu, rate_lu = _lu_oracle(K, P, N)
+        _, beta = _closed_form_system(K, P, N)
+        for b, b_lu in zip(beta, beta_lu):
+            assert abs(b - b_lu) <= 1e-30 * abs(b_lu)
+    bq = BoundQuery(K, P, N)
+    np.testing.assert_allclose(
+        solve_root_coefficients(bq).coefficients,
+        [complex(b) for b in beta_lu],
+        rtol=1e-15,
+    )
+    rate = achievable_rate_fraction(bq)
+    assert abs(rate - complex(rate_lu)) <= 1e-12 * abs(complex(rate_lu))
 
 
 def test_beta_residuals_grid():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pipret.fields import (
     Database,
@@ -95,6 +97,18 @@ def test_pair_rank_bijection_and_order():
         # canonical order is lexicographic on (i, j)
         keys = [(p.i, p.j) for p in ordering]
         assert keys == sorted(keys)
+
+
+@given(st.data())
+def test_pair_rank_unrank_bijection_property(data):
+    K = data.draw(st.integers(1, 500), label="K")
+    r = data.draw(st.integers(0, pair_count(K) - 1), label="rank")
+    assert pair_rank(K, pair_unrank(K, r)) == r
+    i = data.draw(st.integers(1, K), label="i")
+    j = data.draw(st.integers(i, K), label="j")
+    rank = pair_rank(K, PairIndex(i, j))
+    assert 0 <= rank < pair_count(K)
+    assert pair_unrank(K, rank) == PairIndex(i, j)
 
 
 def test_pair_rank_errors():

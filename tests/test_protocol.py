@@ -19,8 +19,10 @@ from pipret.bounds import BoundQuery, inverse_rate_converse, single_message_inve
 from pipret.fields import PairIndex, compute_table, pair_count, random_database
 from pipret.protocol import (
     DecodeMismatchError,
+    FullDownloadScheme,
     LeakyIndexScheme,
     PairSet,
+    RepeatedPirScheme,
     RetrievalScheme,
     UnsupportedParameters,
     VirtualFileSpace,
@@ -31,9 +33,6 @@ from pipret.protocol import (
     rate_summary,
     retrieve_pairs,
     run_retrieval,
-    scheme_full_download,
-    scheme_leaky_index,
-    scheme_repeated_pir,
     virtual_data_from_databases,
 )
 from pipret.protocol import _empty_tally, _pir_run_structure
@@ -49,14 +48,14 @@ def _random_data(space, seed=0):
 
 def test_full_download_rate_example():
     space = VirtualFileSpace(T=3, q=5, nu=1)
-    tr = run_retrieval(scheme_full_download(), space, 2, (0, 2), _random_data(space), 0)
+    tr = run_retrieval(FullDownloadScheme(), space, 2, (0, 2), _random_data(space), 0)
     assert tr.downloaded == 3
     assert tr.inverse_rate == pytest.approx(1.5)
 
 
 def test_full_download_constant_query():
     space = VirtualFileSpace(T=4, q=5, nu=2)
-    sch = scheme_full_download()
+    sch = FullDownloadScheme()
     plans = [
         sch.query(space, 3, req, np.random.default_rng(0)).server_queries
         for req in itertools.combinations(range(4), 2)
@@ -68,7 +67,7 @@ def test_full_download_n1_matches_converse():
     for T, P in [(3, 1), (3, 2), (4, 2), (6, 5)]:
         space = VirtualFileSpace(T=T, q=5, nu=2)
         tr = run_retrieval(
-            scheme_full_download(), space, 1, tuple(range(P)), _random_data(space), 1
+            FullDownloadScheme(), space, 1, tuple(range(P)), _random_data(space), 1
         )
         assert tr.inverse_rate == pytest.approx(T / P, abs=1e-12)
         assert tr.inverse_rate == pytest.approx(
@@ -88,7 +87,7 @@ def test_per_server_download_counts():
 
 def test_repeated_pir_rate_t3_n2():
     space = VirtualFileSpace(T=3, q=5, nu=8)
-    tr = run_retrieval(scheme_repeated_pir(), space, 2, (1,), _random_data(space), 0)
+    tr = run_retrieval(RepeatedPirScheme(), space, 2, (1,), _random_data(space), 0)
     assert tr.per_server_counts == (7, 7)
     assert tr.downloaded == 14
     assert tr.inverse_rate == pytest.approx(1.75)
@@ -97,7 +96,7 @@ def test_repeated_pir_rate_t3_n2():
 
 def test_repeated_pir_rate_t2_n2():
     space = VirtualFileSpace(T=2, q=5, nu=4)
-    tr = run_retrieval(scheme_repeated_pir(), space, 2, (0,), _random_data(space), 0)
+    tr = run_retrieval(RepeatedPirScheme(), space, 2, (0,), _random_data(space), 0)
     assert tr.per_server_counts == (3, 3)
     assert tr.inverse_rate == pytest.approx(1.5)
 
@@ -107,7 +106,7 @@ def test_repeated_pir_rate_independent_of_p():
     rates = []
     for P in (1, 2, 3):
         tr = run_retrieval(
-            scheme_repeated_pir(), space, 2, tuple(range(P)), _random_data(space), 0
+            RepeatedPirScheme(), space, 2, tuple(range(P)), _random_data(space), 0
         )
         rates.append(tr.inverse_rate)
     assert rates[0] == rates[1] == rates[2] == pytest.approx(1.75)
@@ -117,7 +116,7 @@ def test_repeated_pir_geometric_sum_grid():
     for T, N in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]:
         space = VirtualFileSpace(T=T, q=5, nu=N**T)
         tr = run_retrieval(
-            scheme_repeated_pir(), space, N, (0,), _random_data(space, T * N), 5
+            RepeatedPirScheme(), space, N, (0,), _random_data(space, T * N), 5
         )
         assert tr.inverse_rate == pytest.approx(
             single_message_inverse_rate(T, N), abs=1e-9
@@ -132,12 +131,12 @@ def test_repeated_pir_correctness_100_seeds():
     for space, N, request in cases:
         data = _random_data(space, seed=99)
         for s in range(100):
-            tr = run_retrieval(scheme_repeated_pir(), space, N, request, data, seed=s)
+            tr = run_retrieval(RepeatedPirScheme(), space, N, request, data, seed=s)
             assert np.array_equal(tr.decoded, data[list(request)])
 
 
 def test_repeated_pir_unsupported_params():
-    sch = scheme_repeated_pir()
+    sch = RepeatedPirScheme()
     with pytest.raises(UnsupportedParameters):
         run_retrieval(sch, VirtualFileSpace(T=3, q=5, nu=4), 2, (0,), np.zeros((3, 4)), 0)
     with pytest.raises(UnsupportedParameters):
@@ -164,7 +163,7 @@ def test_repeated_pir_structure_counts():
 
 def test_repeated_pir_download_count_symmetry():
     space = VirtualFileSpace(T=3, q=5, nu=8)
-    sch = scheme_repeated_pir()
+    sch = RepeatedPirScheme()
     counts = set()
     for req in itertools.combinations(range(3), 2):
         plan = sch.query(space, 2, req, np.random.default_rng(0))
@@ -173,7 +172,7 @@ def test_repeated_pir_download_count_symmetry():
 
 
 def test_decode_mismatch_is_hard_failure():
-    class CorruptingScheme(type(scheme_repeated_pir())):
+    class CorruptingScheme(RepeatedPirScheme):
         def answer(self, space, server_query, data):
             out = super().answer(space, server_query, data)
             if out and out[0]:
@@ -189,11 +188,11 @@ def test_run_retrieval_validation():
     space = VirtualFileSpace(T=3, q=5, nu=1)
     data = _random_data(space)
     with pytest.raises(ValueError, match="repeat"):
-        run_retrieval(scheme_full_download(), space, 2, (0, 0), data, 0)
+        run_retrieval(FullDownloadScheme(), space, 2, (0, 0), data, 0)
     with pytest.raises(ValueError, match="out of range"):
-        run_retrieval(scheme_full_download(), space, 2, (3,), data, 0)
+        run_retrieval(FullDownloadScheme(), space, 2, (3,), data, 0)
     with pytest.raises(ValueError, match="shaped"):
-        run_retrieval(scheme_full_download(), space, 2, (0,), np.zeros((2, 2)), 0)
+        run_retrieval(FullDownloadScheme(), space, 2, (0,), np.zeros((2, 2)), 0)
 
 
 # --- database-derived runs ----------------------------------------------------------
@@ -202,7 +201,7 @@ def test_run_retrieval_validation():
 def test_retrieve_pairs_matches_table():
     dbs = [random_database(5, 3, 4, seed=s) for s in range(3)]
     pairs = PairSet({PairIndex(1, 2), PairIndex(3, 3)})
-    tr = retrieve_pairs(scheme_full_download(), pairs, dbs, 2, seed=1)
+    tr = retrieve_pairs(FullDownloadScheme(), pairs, dbs, 2, seed=1)
     tables = [compute_table(db).values for db in dbs]
     for col, table in enumerate(tables):
         for row, rank in enumerate(pairs.ranks(3)):
@@ -212,7 +211,7 @@ def test_retrieve_pairs_matches_table():
 def test_retrieve_pairs_with_repeated_pir():
     dbs = [random_database(2, 2, 3, seed=s) for s in range(8)]  # nu = 8 = 2^T
     pairs = PairSet({PairIndex(1, 2)})
-    tr = retrieve_pairs(scheme_repeated_pir(), pairs, dbs, 2, seed=4)
+    tr = retrieve_pairs(RepeatedPirScheme(), pairs, dbs, 2, seed=4)
     assert tr.inverse_rate == pytest.approx(1.75)
 
 
@@ -241,7 +240,7 @@ def test_measure_rate_and_summary():
     space = VirtualFileSpace(T=3, q=5, nu=1)
     data = _random_data(space)
     transcripts = [
-        run_retrieval(scheme_full_download(), space, 2, (0, 1), data, seed=s)
+        run_retrieval(FullDownloadScheme(), space, 2, (0, 1), data, seed=s)
         for s in range(4)
     ]
     assert measure_rate(transcripts) == pytest.approx(1.5)
@@ -272,7 +271,7 @@ def test_no_scheme_beats_converse():
 
 def test_exact_audit_full_download_tv_zero():
     space = VirtualFileSpace(T=3, q=5, nu=1)
-    rep = audit_privacy(scheme_full_download(), space, 2, 2, mode="exact")
+    rep = audit_privacy(FullDownloadScheme(), space, 2, 2, mode="exact")
     assert rep.passed
     assert rep.max_tv_distance == 0.0
     assert rep.count_symmetric
@@ -280,7 +279,7 @@ def test_exact_audit_full_download_tv_zero():
 
 def test_exact_audit_flags_leaky_scheme():
     space = VirtualFileSpace(T=3, q=5, nu=1)
-    rep = audit_privacy(scheme_leaky_index(), space, 2, 1, mode="exact")
+    rep = audit_privacy(LeakyIndexScheme(), space, 2, 1, mode="exact")
     assert not rep.passed
     assert rep.max_tv_distance == 1.0
 
@@ -288,13 +287,13 @@ def test_exact_audit_flags_leaky_scheme():
 def test_exact_audit_rejects_randomized_scheme():
     space = VirtualFileSpace(T=2, q=5, nu=4)
     with pytest.raises(ValueError, match="randomized"):
-        audit_privacy(scheme_repeated_pir(), space, 2, 1, mode="exact")
+        audit_privacy(RepeatedPirScheme(), space, 2, 1, mode="exact")
 
 
 def test_sampled_audit_passes_repeated_pir():
     space = VirtualFileSpace(T=2, q=5, nu=4)
     rep = audit_privacy(
-        scheme_repeated_pir(), space, 2, 1, mode="sampled", samples=10_000, seed=11
+        RepeatedPirScheme(), space, 2, 1, mode="sampled", samples=10_000, seed=11
     )
     assert rep.passed
     assert rep.count_symmetric
@@ -305,7 +304,7 @@ def test_sampled_audit_passes_repeated_pir():
 def test_sampled_audit_flags_leaky_scheme():
     space = VirtualFileSpace(T=3, q=5, nu=2)
     rep = audit_privacy(
-        scheme_leaky_index(), space, 2, 1, mode="sampled", samples=10_000, seed=11
+        LeakyIndexScheme(), space, 2, 1, mode="sampled", samples=10_000, seed=11
     )
     assert not rep.passed
 
@@ -313,15 +312,15 @@ def test_sampled_audit_flags_leaky_scheme():
 def test_sampled_audit_requires_enough_samples():
     space = VirtualFileSpace(T=2, q=5, nu=4)
     with pytest.raises(ValueError, match="samples"):
-        audit_privacy(scheme_repeated_pir(), space, 2, 1, mode="sampled", samples=100)
+        audit_privacy(RepeatedPirScheme(), space, 2, 1, mode="sampled", samples=100)
 
 
 def test_audit_mode_validation():
     space = VirtualFileSpace(T=2, q=5, nu=4)
     with pytest.raises(ValueError, match="unknown audit mode"):
-        audit_privacy(scheme_full_download(), space, 2, 1, mode="bogus")
+        audit_privacy(FullDownloadScheme(), space, 2, 1, mode="bogus")
     with pytest.raises(ValueError, match="P must"):
-        audit_privacy(scheme_full_download(), space, 2, 5, mode="exact")
+        audit_privacy(FullDownloadScheme(), space, 2, 5, mode="exact")
 
 
 def _packed_key(file_key, nu: int) -> bytes:
@@ -346,7 +345,7 @@ def test_tally_statistics_matches_per_sample_loop(data):
     samples = data.draw(st.integers(1, 12 if N**T > 30 else 40), label="samples")
     chunk = data.draw(st.integers(1, samples), label="chunk")
     space = VirtualFileSpace(T=T, q=2, nu=N**T)
-    sch = scheme_repeated_pir()
+    sch = RepeatedPirScheme()
     r_fast = np.random.default_rng(seed)
     r_loop = np.random.default_rng(seed)
     # a block of `chunk` samples, so the tally spans several chunks
@@ -393,18 +392,18 @@ def test_deterministic_tally_rejects_a_varying_statistic():
 
 def test_audits_name_the_leak_of_the_leaky_control():
     space = VirtualFileSpace(T=3, q=5, nu=2)
-    exact = audit_privacy(scheme_leaky_index(), space, 2, 1, mode="exact")
+    exact = audit_privacy(LeakyIndexScheme(), space, 2, 1, mode="exact")
     assert exact.worst_test == {
         "channel": "query/server0", "set1": [0], "set2": [1], "pvalue": None
     }
     sampled = audit_privacy(
-        scheme_leaky_index(), space, 2, 1, mode="sampled", samples=10_000, seed=11
+        LeakyIndexScheme(), space, 2, 1, mode="sampled", samples=10_000, seed=11
     )
     worst = sampled.worst_test
     assert worst["pvalue"] == sampled.min_pvalue < sampled.threshold
     assert worst["channel"].endswith("server0")
     assert (worst["set1"], worst["set2"]) == ([0], [1])
-    passing = audit_privacy(scheme_full_download(), space, 2, 1, mode="exact")
+    passing = audit_privacy(FullDownloadScheme(), space, 2, 1, mode="exact")
     assert passing.worst_test is None
 
 

@@ -350,6 +350,25 @@ def test_evolve_float_path_agrees():
     np.testing.assert_allclose(dists_f[5], exact.distributions[5], atol=1e-13)
 
 
+def test_float_path_l2_is_parseval_exact():
+    # at L = 60 these distances lie near or below the ~1e-17 rounding floor
+    # of an inverse FFT; Parseval over the spectrum must still match the
+    # exact-integer path
+    for q, K in [(3, 2), (2, 3), (2, 4)]:
+        d = delta_distribution(q, K)
+        _, l2_f, _ = _evolve_float(d, 60, False)
+        exact = evolve(d, 60, store_distributions=False)
+        assert exact.exact
+        np.testing.assert_allclose(l2_f, exact.l2_dists, rtol=1e-12, atol=0)
+
+
+def test_float_path_fitted_rate_is_lambda2():
+    d = delta_distribution(7, 3)
+    trace = evolve(d, 40, store_distributions=False)
+    assert not trace.exact
+    assert abs(trace.fitted_rate - spectrum_via_characters(d).lambda2) <= 1e-6
+
+
 def test_evolve_guards():
     with pytest.raises(ValueError, match="L_max"):
         evolve(delta_distribution(2, 2), 0)
