@@ -26,6 +26,7 @@ two formulas at K_msg/P = 2 (see tests).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -104,6 +105,12 @@ def inverse_rate_converse(bq: BoundQuery) -> float:
     return total + frac * N ** float(-whole)
 
 
+# mpmath's precision is one process-wide setting that workdps sets and
+# restores; two threads inside it at once (the capacity grid's pool) would
+# compute at each other's precision and leave it raised
+_MP_LOCK = threading.Lock()
+
+
 def _working_dps(K: int) -> int:
     # (N-1)**(K-P) style magnitudes need about K digits of headroom before
     # cancellation; float64 cannot certify the 1e-9 absolute residual once
@@ -136,7 +143,7 @@ def solve_root_coefficients(bq: BoundQuery) -> RootCoefficients:
     K, P, N = bq.K_msg, bq.P, bq.N
     if N < 2:
         raise ValueError("root/coefficient system requires N >= 2")
-    with mp.workdps(_working_dps(K)):
+    with _MP_LOCK, mp.workdps(_working_dps(K)):
         roots, beta = _closed_form_system(K, P, N)
         resid = [mp.fsum(b * r**-k for b, r in zip(beta, roots)) for k in range(1, P + 1)]
         resid[-1] -= mp.mpf(N - 1) ** (K - P)
@@ -164,7 +171,7 @@ def achievable_rate_fraction(bq: BoundQuery) -> complex:
     K, P, N = bq.K_msg, bq.P, bq.N
     if N < 2:
         raise ValueError("rate fraction requires N >= 2")
-    with mp.workdps(_working_dps(K)):
+    with _MP_LOCK, mp.workdps(_working_dps(K)):
         rho = mp.root(N, P)
         s1 = s0 = mp.mpc(0)
         for i in range(P):
@@ -185,15 +192,21 @@ def inverse_rate_achievable(bq: BoundQuery) -> float:
     independently and its reciprocal returned (at K/P = 2 exactly, both
     paths agree to 1e-9, which the tests assert).
     """
+    return _achievable_with_fraction(bq)[0]
+
+
+def _achievable_with_fraction(bq: BoundQuery) -> tuple[float, complex | None]:
+    """``inverse_rate_achievable`` together with the rate fraction it
+    inverted (None when no fraction was evaluated)."""
     K, P, N = bq.K_msg, bq.P, bq.N
     if N == 1:
-        return K / P
+        return K / P, None
     if K / P < 2:
-        return 1.0 + (K - P) / (P * N)
+        return 1.0 + (K - P) / (P * N), None
     rate = achievable_rate_fraction(bq)
     if abs(rate.imag) >= RESIDUAL_TOL:
         raise ArithmeticError(f"imaginary residue {rate.imag:.3e} in rate fraction")
-    return 1.0 / rate.real
+    return 1.0 / rate.real, rate
 
 
 def theorem1_bounds(
@@ -267,18 +280,21 @@ def capacity_grid(
                 continue
             for N in N_list:
                 bq = BoundQuery(K_msg, P, N)
+                if verbose:
+                    achievable, frac = _achievable_with_fraction(bq)
+                else:
+                    achievable = inverse_rate_achievable(bq)
                 row = {
                     "K_files": K_files,
                     "K_msg": K_msg,
                     "P": P,
                     "N": N,
                     "inv_rate_converse": inverse_rate_converse(bq),
-                    "inv_rate_achievable": inverse_rate_achievable(bq),
+                    "inv_rate_achievable": achievable,
                     "limit": corollary_limits(K_files, P, N),
                 }
                 if verbose:
-                    if N >= 2 and K_msg / P >= 2:
-                        frac = achievable_rate_fraction(bq)
+                    if frac is not None:
                         rc = solve_root_coefficients(bq)
                         row["rate_fraction_as_printed"] = frac.real
                         row["rate_fraction_reciprocal"] = 1.0 / frac.real

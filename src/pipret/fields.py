@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -314,6 +315,16 @@ class InnerProductVector:
         return FieldElement(int(self.values[pair_rank(self.K, p)]), self.q)
 
 
+@lru_cache(maxsize=32)
+def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of a K x K matrix, in
+    canonical pair order; cached per K and read-only."""
+    iu, ju = np.triu_indices(K)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def compute_table(db: Database) -> InnerProductVector:
     """The length-K(K+1)/2 vector of all pairwise inner products <W_i, W_j>
     mod q, diagonal pairs included, in canonical pair order.
@@ -324,7 +335,7 @@ def compute_table(db: Database) -> InnerProductVector:
         gram = (E @ E.T) % q
     else:
         gram = (E.astype(object) @ E.T.astype(object)) % q
-    iu, ju = np.triu_indices(db.K)
+    iu, ju = _triangle(db.K)
     return InnerProductVector(q, db.K, gram[iu, ju].astype(np.int64))
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -220,6 +222,32 @@ def test_bound_query_validation():
         BoundQuery(3, 1, 0)
     with pytest.raises(ValueError, match="> 64"):
         BoundQuery(200, 100, 2)
+
+
+def test_capacity_grid_rows_identical_across_threads():
+    """mpmath's working precision is process-wide; rows evaluated on four
+    threads with frequent switches must equal the sequential rows."""
+    points = [
+        (K, P, N)
+        for K in range(2, 6)
+        for P in range(1, 7)
+        if P <= K * (K + 1) // 2
+        for N in (2, 3, 4)
+    ]
+
+    def row(point):
+        K, P, N = point
+        return capacity_grid([K], [P], [N], verbose=True)
+
+    want = [row(p) for p in points]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(row, points, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_capacity_grid_rows():

@@ -124,6 +124,12 @@ def test_simulate_database_mode_single_server(capsys):
     assert res["theorem_bracket"]["bracket_high"] == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("flag,value", [("--L", "0"), ("--q", "4")])
+def test_simulate_database_mode_rejects_bad_params(flag, value, capsys):
+    code, _, _ = _run(["simulate", "--K", "2", flag, value], capsys)
+    assert code == EXIT_VALIDATION
+
+
 def test_simulate_requires_k_or_t(capsys):
     code, _, err = _run(["simulate", "--scheme", "full_download"], capsys)
     assert code == EXIT_VALIDATION
@@ -264,12 +270,11 @@ def test_reports_byte_identical_for_same_config():
     assert texts[0] == texts[1]
 
 
-def test_simulate_reports_byte_identical_with_pool(monkeypatch):
+def test_capacity_reports_byte_identical_with_pool(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     parser = build_parser()
     args = parser.parse_args(
-        ["simulate", "--scheme", "repeated_pir", "--T", "2", "--N", "2", "--P", "1",
-         "--seeds", "12", "--master-seed", "3"]
+        ["capacity", "--K", "2..5", "--P", "1..6", "--N", "2..4", "--verbose"]
     )
     config = resolve_config(args)
     first = render_report(dispatch(config)[0], config.fmt)

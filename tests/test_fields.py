@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipret import fields
 from pipret.fields import (
     Database,
     FieldElement,
@@ -144,6 +147,56 @@ def test_random_database_rejects_bad_params():
         random_database(4, 2, 2, seed=0)
     with pytest.raises(ValueError):
         random_database(5, 0, 2, seed=0)
+
+
+def _table_oracle(db):
+    """Pairwise inner products in Python integers, canonical pair order."""
+    rows = [[int(v) for v in row] for row in db.entries]
+    return [
+        sum(a * b for a, b in zip(rows[i], rows[j])) % db.q
+        for i in range(db.K)
+        for j in range(i, db.K)
+    ]
+
+
+def _prime_from(n, step):
+    while not is_prime(n):
+        n += step
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compute_table_matches_integer_oracle_at_the_object_switch(data):
+    """L*(q-1)**2 drawn just below and above 2**62, where compute_table
+    leaves int64 matmul for Python integers."""
+    L = data.draw(st.integers(1, 64), label="L")
+    side = data.draw(st.sampled_from(["below", "above", "far above"]), label="side")
+    offset = data.draw(st.integers(0, 10**6), label="offset")
+    root = math.isqrt(2**62 // L)  # L*root**2 <= 2**62 < L*(root+1)**2
+    if side == "below":
+        q = _prime_from(root - offset, -1)
+    elif side == "above":
+        q = _prime_from(root + 2 + offset, 1)
+    else:  # L*(q-1)**2 > 2**63, where int64 accumulation would wrap
+        q = _prime_from(3 * root // 2 + offset, 1)
+    assert (L * (q - 1) ** 2 < 2**62) is (side == "below")
+    K = data.draw(st.integers(1, 5), label="K")
+    K_other = data.draw(st.integers(1, 5), label="K_other")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    extreme = data.draw(st.booleans(), label="all q-1")
+    if extreme:
+        db = Database(q, np.full((K, L), q - 1, dtype=np.int64))
+    else:
+        db = Database(q, rng.integers(0, q, size=(K, L), dtype=np.int64))
+    other = Database(q, rng.integers(0, q, size=(K_other, L), dtype=np.int64))
+    # a table of another size first: the cached triangle of K must not be disturbed
+    assert compute_table(other).values.tolist() == _table_oracle(other)
+    assert compute_table(db).values.tolist() == _table_oracle(db)
+    for idx in fields._triangle(K):
+        assert not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 0
 
 
 def test_table_permutation_symmetry():

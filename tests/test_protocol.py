@@ -135,6 +135,25 @@ def test_repeated_pir_correctness_100_seeds():
             assert np.array_equal(tr.decoded, data[list(request)])
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_repeated_pir_decodes_exactly_at_the_closed_form_download(data):
+    T = data.draw(st.integers(1, 4), label="T")
+    N = data.draw(st.sampled_from([2, 3]), label="N")
+    P = data.draw(st.integers(1, T), label="P")
+    q = data.draw(st.sampled_from([2, 3, 5, 7, 2**31 - 1]), label="q")
+    request = tuple(sorted(data.draw(st.permutations(range(T)), label="files")[:P]))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    space = VirtualFileSpace(T=T, q=q, nu=N**T)
+    symbols = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data"))
+    values = symbols.integers(0, q, size=(T, space.nu))
+    tr = run_retrieval(RepeatedPirScheme(), space, N, request, values, seed=seed)
+    assert np.array_equal(tr.decoded, values[list(request)])
+    assert tr.downloaded == P * N * sum(
+        comb(T, t) * (N - 1) ** (t - 1) for t in range(1, T + 1)
+    )
+
+
 def test_repeated_pir_unsupported_params():
     sch = RepeatedPirScheme()
     with pytest.raises(UnsupportedParameters):
