@@ -286,7 +286,9 @@ class FixedPointCodec:
 
     Decoding is exact as long as every integer inner product stays inside
     (-q/2, q/2); ``encode_dataset`` enforces the sufficient condition
-    m * L * (s * max_abs)**2 < q / 2 up front.
+    m * L * (s * max_abs)**2 < q / 2 up front, and the same with s * max_abs
+    rounded to the nearest integer, the largest magnitude the rounding of an
+    admissible sample can reach.
     """
 
     scale: float
@@ -310,13 +312,19 @@ def encode_dataset(X: np.ndarray, codec: FixedPointCodec) -> Database:
     if X.ndim != 2:
         raise ValueError("dataset must be (m, L)")
     m, L = X.shape
-    if np.max(np.abs(X), initial=0.0) > codec.max_abs * (1 + 1e-12):
+    limit = codec.max_abs * (1 + 1e-12)
+    if np.max(np.abs(X), initial=0.0) > limit:
         raise ValueError(f"dataset exceeds the codec bound max_abs={codec.max_abs}")
     bound = m * L * (codec.scale * codec.max_abs) ** 2
-    if not bound < codec.q / 2:
+    # rint is monotone, so every encoded magnitude is at most rint(s * limit),
+    # which can exceed s * max_abs; checked in integers once bound is small
+    if not (
+        bound < codec.q / 2
+        and 2 * m * L * int(np.rint(codec.scale * limit)) ** 2 < codec.q
+    ):
         raise ValueError(
-            f"wraparound guard failed: m*L*(s*max_abs)^2 = {bound:.6g} "
-            f"is not below q/2 = {codec.q / 2:.6g}"
+            f"wraparound guard failed: m*L*(s*max_abs)^2 = {bound:.6g}, or the "
+            f"same with s*max_abs rounded, is not below q/2 = {codec.q / 2:.6g}"
         )
     E = np.rint(codec.scale * X).astype(np.int64)
     return Database(codec.q, E % codec.q)

@@ -20,6 +20,9 @@ Three schemes are provided:
                           per requested file, using nu = N**T
                           subpacketization and cross-server side
                           information; meets the P = 1 bound exactly.
+                          One cached layout per desired file fixes each
+                          server's sums, sent in order of file support, and
+                          the decode, one gather per run.
 * ``leaky_index``       - negative control that sends the request in the
                           clear; privacy audits must flag it.
 """
@@ -37,7 +40,7 @@ import numpy as np
 import scipy.stats
 
 from .bounds import BoundQuery, inverse_rate_achievable, inverse_rate_converse
-from .fields import Database, PairIndex, compute_table, pair_count, pair_rank
+from .fields import Database, PairIndex, compute_table, is_prime, pair_count, pair_rank
 
 MIN_AUDIT_SAMPLES = 10_000
 # permutation entries (samples * P * T * nu) drawn per chunk of a batched tally
@@ -55,8 +58,8 @@ class VirtualFileSpace:
     def __post_init__(self):
         if self.T < 1 or self.nu < 1:
             raise ValueError("T and nu must be >= 1")
-        if self.q < 2:
-            raise ValueError("q must be a prime >= 2")
+        if not is_prime(self.q):
+            raise ValueError(f"q must be a prime, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -290,7 +293,6 @@ class _RunStructure:
     sums: tuple
     recover: tuple
     used: tuple
-    slots_at_server: tuple
     produced: tuple
     consumed: tuple
 
@@ -344,20 +346,12 @@ def _pir_run_structure(T: int, N: int) -> _RunStructure:
         side_prev = side_next
 
     assert counters[0] == N**T, "desired-symbol pool must be exactly exhausted"
-    slots_at = []
-    for n in range(N):
-        per_file = {f: set() for f in range(T)}
-        for terms in sums[n]:
-            for f, slot in terms:
-                per_file[f].add(slot)
-        slots_at.append(tuple(tuple(sorted(per_file[f])) for f in range(T)))
     return _RunStructure(
         T=T,
         N=N,
         sums=tuple(tuple(s) for s in sums),
         recover=tuple(recover),
         used=tuple(counters),
-        slots_at_server=tuple(slots_at),
         produced=tuple(tuple(p) for p in produced),
         consumed=tuple(tuple(c) for c in consumed),
     )
@@ -369,45 +363,47 @@ def per_server_download(T: int, N: int) -> int:
 
 
 @dataclass(frozen=True)
-class _StatisticLayout:
-    """Request-dependent but randomness-independent parts of the audit
-    statistic: canonical structure keys and, per run and server, the slot
-    array of every (real) file."""
+class _RunLayout:
+    """One run of ``_pir_run_structure`` with desired file theta.
 
-    structure_keys: tuple
-    run_slots: tuple
+    ``sums[n]`` lists server n's sums in the order they are sent, each a
+    tuple of (file, slot) terms in file order; a slot becomes a symbol
+    index through the run's permutation of its file.  With the run's
+    answers of all servers concatenated and a 0 appended as ``flat``, the
+    desired file decodes as ``out[perm_theta[desired]] = (flat[read] -
+    flat[side]) % q``.
+    """
+
+    sums: tuple
+    desired: np.ndarray
+    read: np.ndarray
+    side: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _statistic_layout(T: int, n_servers: int, request: tuple) -> _StatisticLayout:
-    struct = _pir_run_structure(T, n_servers)
-    run_keys = [[] for _ in range(n_servers)]
-    run_slots = []
-    for theta in request:
-        swap = list(range(T))
-        swap[0], swap[theta] = theta, 0
-        per_server = []
-        for n in range(n_servers):
-            supports = tuple(
-                sorted(tuple(sorted(swap[f] for f, _ in terms)) for terms in struct.sums[n])
-            )
-            run_keys[n].append(supports)
-            row = [None] * T
-            for f_struct in range(T):
-                row[swap[f_struct]] = np.array(
-                    struct.slots_at_server[n][f_struct], dtype=np.intp
-                )
-            per_server.append(tuple(row))
-        run_slots.append(tuple(per_server))
-    structure_keys = tuple(tuple(sorted(run_keys[n])) for n in range(n_servers))
-    return _StatisticLayout(structure_keys=structure_keys, run_slots=tuple(run_slots))
-
-
-@dataclass
-class _RunDecode:
-    theta: int
-    perm_theta: np.ndarray
-    refs: list
+def _run_layout(T: int, N: int, theta: int) -> _RunLayout:
+    struct = _pir_run_structure(T, N)
+    # the structure retrieves file 0: relabel files 0 and theta
+    swap = list(range(T))
+    swap[0], swap[theta] = theta, 0
+    sums, flat_at = [], {}  # flat_at[n, pos]: where structure sum pos of server n lands
+    for n, server_sums in enumerate(struct.sums):
+        real = [tuple(sorted((swap[f], slot) for f, slot in terms)) for terms in server_sums]
+        # sorted by support, stable on structure order: the same sequence of
+        # supports for every theta, whatever the run's permutations
+        order = sorted(range(len(real)), key=lambda p: (len(real[p]), [f for f, _ in real[p]]))
+        flat_at.update({(n, pos): len(flat_at) + sent for sent, pos in enumerate(order)})
+        sums.append(tuple(real[pos] for pos in order))
+    desired, read, side = [], [], []
+    for kind, n, pos, slot, *other in struct.recover:
+        desired.append(slot)
+        read.append(flat_at[n, pos])
+        # a "direct" symbol subtracts the appended 0
+        side.append(flat_at[tuple(other)] if kind == "diff" else len(flat_at))
+    arrays = [np.array(a, dtype=np.intp) for a in (desired, read, side)]
+    for a in arrays:
+        a.flags.writeable = False
+    return _RunLayout(tuple(sums), *arrays)
 
 
 class RepeatedPirScheme(RetrievalScheme):
@@ -418,9 +414,15 @@ class RepeatedPirScheme(RetrievalScheme):
     containing the desired file (each reusing one undesired (t-1)-sum
     downloaded from another server as side information) and
     C(T-1,t)(N-1)**(t-1) fresh undesired t-sums.  Fresh symbol positions
-    are drawn through an independent uniform permutation per file per run,
-    so each server sees a file-symmetric sum structure with uniformly
-    random indices regardless of the request.
+    are drawn through an independent uniform permutation per file per run.
+
+    Everything but the permutations is fixed by the desired file theta and
+    cached once per (T, N, theta) by ``_run_layout``: the sums each server
+    gets, as (file, slot) terms, and where the decoder reads each desired
+    slot.  A server's sums are sent in order of file support, so the
+    sequence of supports it sees is the same for every request, and within a
+    run its slots of each file are distinct, so their indices are uniformly
+    random whatever the request.
     """
 
     name = "repeated_pir"
@@ -432,51 +434,26 @@ class RepeatedPirScheme(RetrievalScheme):
     def query(self, space, n_servers, request, rng) -> QueryPlan:
         self.check_supports(space, n_servers)
         T, nu = space.T, space.nu
-        struct = _pir_run_structure(T, n_servers)
         server_blocks = [[] for _ in range(n_servers)]
         runs = []
         for theta in request:
             perms = [rng.permutation(nu) for _ in range(T)]
-            swap = list(range(T))
-            swap[0], swap[theta] = theta, 0
-            position_maps = []
-            for n in range(n_servers):
-                real = [
-                    tuple(sorted((swap[f], int(perms[swap[f]][slot])) for f, slot in terms))
-                    for terms in struct.sums[n]
-                ]
-                order = sorted(range(len(real)), key=lambda p: (len(real[p]), real[p]))
-                newpos = [0] * len(real)
-                for sent, orig in enumerate(order):
-                    newpos[orig] = sent
-                server_blocks[n].append(tuple(real[orig] for orig in order))
-                position_maps.append(newpos)
-            refs = []
-            for entry in struct.recover:
-                if entry[0] == "direct":
-                    _, n, pos, slot = entry
-                    refs.append(("direct", n, position_maps[n][pos], slot))
-                else:
-                    _, n, pos, slot, n2, pos2 = entry
-                    refs.append(
-                        ("diff", n, position_maps[n][pos], slot, n2, position_maps[n2][pos2])
-                    )
-            runs.append(_RunDecode(theta=theta, perm_theta=perms[theta], refs=refs))
+            index = [perm.tolist() for perm in perms]
+            for blocks, sums in zip(server_blocks, _run_layout(T, n_servers, theta).sums):
+                blocks.append(
+                    tuple(tuple((f, index[f][slot]) for f, slot in terms) for terms in sums)
+                )
+            runs.append((theta, perms[theta]))
         queries = [tuple(blocks) for blocks in server_blocks]
         return QueryPlan(server_queries=queries, state=runs)
 
     def decode(self, space, plan, answers) -> np.ndarray:
-        q, nu = space.q, space.nu
-        out = np.full((len(plan.state), nu), -1, dtype=np.int64)
-        for r, run in enumerate(plan.state):
-            for ref in run.refs:
-                if ref[0] == "direct":
-                    _, n, pos, slot = ref
-                    val = answers[n][r][pos]
-                else:
-                    _, n, pos, slot, n2, pos2 = ref
-                    val = (answers[n][r][pos] - answers[n2][r][pos2]) % q
-                out[r, run.perm_theta[slot]] = val
+        q = space.q
+        out = np.full((len(plan.state), space.nu), -1, dtype=np.int64)
+        for r, (theta, perm_theta) in enumerate(plan.state):
+            layout = _run_layout(space.T, len(answers), theta)
+            flat = np.array([v for server in answers for v in server[r]] + [0], dtype=np.int64)
+            out[r, perm_theta[layout.desired]] = (flat[layout.read] - flat[layout.side]) % q
         if (out < 0).any():
             raise DecodeMismatchError("decoder left symbols unassigned")
         return out
@@ -492,8 +469,9 @@ class RepeatedPirScheme(RetrievalScheme):
         The permutations ``query`` would draw are drawn a chunk of samples at
         a time by ``rng.permuted``, which consumes the generator exactly like
         the sequential ``rng.permutation(nu)`` calls.  Each (server, file)
-        index set of a run is gathered through the cached slot layout and
-        keyed by its packed membership bits (a ``V{ceil(nu/8)}`` scalar); the
+        index set of a run is gathered through that file's slots in the run's
+        cached layout and keyed by its packed membership bits (a
+        ``V{ceil(nu/8)}`` scalar); the
         sorted P run keys, concatenated, are the multiset key, and the keys of
         a chunk are counted by sorting them.  Index-channel keys are
         therefore ``bytes``, not the index tuples of the base loop.
@@ -502,10 +480,19 @@ class RepeatedPirScheme(RetrievalScheme):
         """
         self.check_supports(space, n_servers)
         T, nu, P = space.T, space.nu, len(request)
-        layout = _statistic_layout(T, n_servers, tuple(request))
+        layouts = [_run_layout(T, n_servers, theta) for theta in request]
         tally = _empty_tally(n_servers, T)
         for n in range(n_servers):
-            tally[("structure", n)][layout.structure_keys[n]] = samples
+            run_keys = (
+                tuple(sorted(tuple(f for f, _ in terms) for terms in layout.sums[n]))
+                for layout in layouts
+            )
+            tally[("structure", n)][tuple(sorted(run_keys))] = samples
+        # slots[r][n][f]: the slots of file f in server n's sums of run r
+        slots = []
+        for layout in layouts:
+            terms = [np.array([t for s in sums for t in s], dtype=np.intp) for sums in layout.sums]
+            slots.append([[ft[ft[:, 0] == f, 1] for f in range(T)] for ft in terms])
         width = (nu + 7) // 8
         identity = np.arange(nu, dtype=np.min_scalar_type(nu - 1))
         chunk = max(1, _TALLY_BLOCK // (P * T * nu))
@@ -516,7 +503,7 @@ class RepeatedPirScheme(RetrievalScheme):
                 for f in range(T):
                     member = np.zeros((S, P, nu), dtype=bool)
                     for r in range(P):
-                        chosen = perms[:, r, f, layout.run_slots[r][n][f]]
+                        chosen = perms[:, r, f, slots[r][n][f]]
                         np.put_along_axis(member[:, r], chosen, True, axis=-1)
                     run_keys = np.packbits(member, axis=-1).view(f"V{width}")[..., 0]
                     keys = np.sort(run_keys, axis=1).view(np.uint8).reshape(S, -1)
@@ -643,6 +630,9 @@ def measure_rate(transcripts) -> float:
 def rate_summary(transcripts, n_servers: int) -> dict:
     """Measured inverse rate next to the closed-form bracket for the same
     (T, P, N); the converse comparison is the 'no scheme beats it' check."""
+    transcripts = list(transcripts)
+    if not transcripts:
+        raise ValueError("need at least one transcript")
     t0 = transcripts[0]
     T, P = t0.space.T, len(t0.request)
     bq = BoundQuery(T, P, n_servers)

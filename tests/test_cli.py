@@ -130,6 +130,27 @@ def test_simulate_database_mode_rejects_bad_params(flag, value, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_virtual_file_commands_reject_a_composite_modulus(command, capsys):
+    code, out, err = _run(
+        [command, "--T", "2", "--q", "4", "--scheme", "full_download"], capsys
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "prime" in err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_simulate_rejects_runs_without_seeds(seeds, capsys):
+    code, out, err = _run(
+        ["simulate", "--T", "2", "--scheme", "full_download", "--seeds", seeds], capsys
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "at least one transcript" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_requires_k_or_t(capsys):
     code, _, err = _run(["simulate", "--scheme", "full_download"], capsys)
     assert code == EXIT_VALIDATION

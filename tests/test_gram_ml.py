@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pipret.fields import compute_table
 from pipret.gram_ml import (
@@ -278,6 +282,45 @@ def test_codec_zero_dataset():
     X = np.zeros((3, 2))
     db = encode_dataset(X, codec)
     np.testing.assert_array_equal(decode_gram(compute_table(db), codec), np.zeros((3, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_codec_wraparound_boundary(data):
+    """Samples at +-max_abs put the integer Gram diagonal at L*rint(s*max_abs)^2.
+
+    Just below m*L*(s*max_abs)^2 = q/2 the private Gram is bit-identical to
+    the direct one, unless rounding carries s*max_abs across the boundary, in
+    which case encoding must refuse; just above, encoding always refuses.
+    """
+    q = data.draw(st.sampled_from([101, 65537, 10**9 + 7, 2**61 - 1]), label="q")
+    m = data.draw(st.integers(1, 4), label="m")
+    L = data.draw(st.integers(1, 8), label="L")
+    scale = data.draw(st.floats(0.01, 1e4), label="scale")
+    below = data.draw(st.booleans(), label="below")
+    gap = data.draw(st.floats(1e-9, 1e-4), label="gap")
+    ratio = 1 - gap if below else 1 + gap
+    max_abs = math.sqrt(ratio * q / 2 / (m * L)) / scale
+    signs = data.draw(
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=m * L, max_size=m * L),
+        label="signs",
+    )
+    X = np.reshape(signs, (m, L)) * max_abs
+    codec = FixedPointCodec(scale=scale, q=q, max_abs=max_abs)
+    assert (m * L * (scale * max_abs) ** 2 < q / 2) is below
+    if not below:
+        with pytest.raises(ValueError, match="wraparound"):
+            encode_dataset(X, codec)
+        return
+    top = np.rint(scale * max_abs)
+    try:
+        encode_dataset(X, codec)
+    except ValueError as exc:
+        assert "wraparound" in str(exc)
+        assert top > scale * max_abs and 2 * m * L * int(top) ** 2 >= q
+        return
+    G_priv, _ = private_gram(X, codec)
+    assert G_priv.tobytes() == direct_gram(X, codec).tobytes()
 
 
 def test_codec_validation():

@@ -180,6 +180,37 @@ def test_repeated_pir_structure_counts():
                 assert st.consumed[n][t] == st.produced[n][t] * (N - 1)
 
 
+@pytest.mark.parametrize(
+    "T,N,P", [(T, N, P) for T in range(1, 5) for N in (2, 3) for P in range(1, T + 1)]
+)
+def test_repeated_pir_sent_order_is_the_same_for_every_request(T, N, P):
+    """Every run of every request and seed shows server n the same sequence
+    of per-sum file supports, and within a run no (file, index) twice.
+
+    This is the privacy argument of the scheme.  Each run draws a uniform
+    permutation of the nu positions per file, independently across files and
+    runs, and a server's sums name each slot of a file at most once.  The
+    indices a uniform permutation gives to any fixed order of distinct slots
+    form a uniform injective sequence, so, given its support sequence, a
+    server's view of a run is uniform over injective index assignments for
+    each file, independently across files.  The support sequence itself does
+    not depend on the request, so neither does the view.
+    """
+    space = VirtualFileSpace(T=T, q=2, nu=N**T)
+    sch = RepeatedPirScheme()
+    seen = [set() for _ in range(N)]
+    for request in itertools.combinations(range(T), P):
+        for seed in range(5):
+            plan = sch.query(space, N, request, np.random.default_rng(seed))
+            for n, server_query in enumerate(plan.server_queries):
+                for block in server_query:
+                    seen[n].add(tuple(tuple(f for f, _ in terms) for terms in block))
+                    for f in range(T):
+                        indexes = [i for terms in block for g, i in terms if g == f]
+                        assert len(set(indexes)) == len(indexes), (n, f)
+    assert all(len(supports) == 1 for supports in seen)
+
+
 def test_repeated_pir_download_count_symmetry():
     space = VirtualFileSpace(T=3, q=5, nu=8)
     sch = RepeatedPirScheme()
@@ -269,6 +300,19 @@ def test_measure_rate_and_summary():
     assert not summary["beats_converse"]
     with pytest.raises(ValueError):
         measure_rate([])
+
+
+def test_rate_summary_rejects_an_empty_run_list():
+    with pytest.raises(ValueError, match="at least one transcript"):
+        rate_summary([], 2)
+    with pytest.raises(ValueError, match="at least one transcript"):
+        rate_summary(iter(()), 2)
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 6, 9, 15, 561])
+def test_virtual_file_space_rejects_a_non_prime_modulus(q):
+    with pytest.raises(ValueError, match="prime"):
+        VirtualFileSpace(T=2, q=q, nu=1)
 
 
 def test_no_scheme_beats_converse():
