@@ -35,7 +35,7 @@ for n, server_query in enumerate(tr.queries):
         for terms in block:
             label = " + ".join(f"file{f}[{i}]" for f, i in terms)
             print(f"      {label}")
-print(f"  answers: {tr.answers}")
+print(f"  answers: {[[block.tolist() for block in server] for server in tr.answers]}")
 print(f"  decoded file 0: {tr.decoded[0].tolist()} (ground truth {data[0].tolist()})")
 print(f"  downloaded {tr.downloaded} symbols for {space.nu} useful ones "
       f"-> inverse rate {tr.inverse_rate}")

@@ -47,6 +47,7 @@ from .protocol import (
     PairSet,
     RepeatedPirScheme,
     RetrievalTranscript,
+    SumBlock,
     VirtualFileSpace,
     audit_privacy,
     measure_rate,

@@ -21,6 +21,7 @@ import numpy as np
 # Python integers (q above 2**61 is rejected outright).
 _VEC_MODULUS_LIMIT = 2**31
 _MAX_MODULUS = 2**61
+_INT64_MAX = 2**63 - 1
 
 
 def is_prime(n: int) -> bool:
@@ -328,11 +329,21 @@ def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
 def compute_table(db: Database) -> InnerProductVector:
     """The length-K(K+1)/2 vector of all pairwise inner products <W_i, W_j>
     mod q, diagonal pairs included, in canonical pair order.
+
+    Exact in int64: the columns go in blocks of floor((2**63 - 1) / (q-1)**2),
+    so no block's dot product can pass 2**63 - 1, and the blocks' products
+    are summed mod q.  Only where (q-1)**2 alone passes that (q above about
+    3.04e9) does the product run in Python integers.
     """
     E = db.entries
     q = db.q
-    if db.L * (q - 1) ** 2 < 2**62:
-        gram = (E @ E.T) % q
+    width = _INT64_MAX // (q - 1) ** 2
+    if width:
+        first = E[:, :width]
+        gram = first @ first.T % q
+        for lo in range(width, db.L, width):
+            block = E[:, lo : lo + width]
+            gram = (gram + block @ block.T % q) % q
     else:
         gram = (E.astype(object) @ E.T.astype(object)) % q
     iu, ju = _triangle(db.K)

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Database, InnerProductVector, PairOrdering
+from .fields import Database, InnerProductVector, _check_prime_modulus
+
+# importable from here as before; perfbench's tracer test looks it up here
+from .fields import PairOrdering  # noqa: F401
 
 PSD_TOL = 1e-8
 SUPPORT_TOL = 1e-8
@@ -32,16 +35,25 @@ def validate_gram(G: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
 
     Returns the validated array; raises ValueError otherwise.
     """
+    G = _symmetric_gram(G)
+    _check_psd(np.linalg.eigvalsh(G), tol)
+    return G
+
+
+def _symmetric_gram(G) -> np.ndarray:
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
         raise ValueError(f"Gram matrix must be square, got {G.shape}")
     if not np.allclose(G, G.T, atol=1e-10, rtol=0):
         raise ValueError("Gram matrix must be symmetric")
-    w = np.linalg.eigvalsh(G)
+    return G
+
+
+def _check_psd(w: np.ndarray, tol: float = PSD_TOL) -> None:
+    """Raise unless the ascending eigenvalues ``w`` are PSD within tolerance."""
     scale = max(float(w[-1]), 0.0)
     if w[0] < -tol * max(scale, 1.0):
         raise ValueError(f"Gram matrix is not PSD: min eigenvalue {w[0]:.3e}")
-    return G
 
 
 @dataclass(frozen=True)
@@ -227,14 +239,17 @@ def regression_fit(gram, targets, augment: bool = True) -> np.ndarray:
     With ``augment`` (default) the bias row of ones is folded in as G + 1,
     matching the closed-form solution through the augmented data matrix;
     predictions then need only raw inner products (see
-    ``regression_predict``).
+    ``regression_predict``).  Validated like ``validate_gram``: unaugmented,
+    from the fit's own eigendecomposition; augmented, from the spectrum of G,
+    because G + 1 can be PSD when G is not.
     """
-    G = validate_gram(gram)
+    G = _symmetric_gram(gram)
+    G_eff = augment_gram(G) if augment else G
+    w, V = np.linalg.eigh(G_eff)
+    _check_psd(np.linalg.eigvalsh(G) if augment else w)
     y = np.asarray(targets, dtype=float).reshape(-1)
     if len(y) != G.shape[0]:
         raise ValueError("target count must match the Gram dimension")
-    G_eff = augment_gram(G) if augment else G
-    w, V = np.linalg.eigh(G_eff)
     lam_max = max(float(w[-1]), 0.0)
     inv = np.where(w > EIG_CUTOFF * max(lam_max, 1e-300), 1.0 / w, 0.0)
     return V @ (inv * (V.T @ y))
@@ -256,10 +271,11 @@ def pca_gram(gram, d: int) -> tuple[np.ndarray, np.ndarray]:
 
     The lifted principal direction is X u_r / sqrt(lambda_r); projecting a
     new point x onto it needs only k_i = <x_i, x>:  (u_r . k) / sqrt(lambda_r).
-    Raises ValueError when d exceeds the numerical rank.
+    Raises ValueError when d exceeds the numerical rank, and like
+    ``validate_gram`` on a matrix that is not a Gram matrix.
     """
-    G = validate_gram(gram)
-    w, V = np.linalg.eigh(G)
+    w, V = np.linalg.eigh(_symmetric_gram(gram))
+    _check_psd(w)
     w, V = w[::-1], V[:, ::-1]
     lam_max = max(float(w[0]), 0.0)
     rank = int(np.sum(w > EIG_CUTOFF * max(lam_max, 1e-300)))
@@ -298,8 +314,7 @@ class FixedPointCodec:
     def __post_init__(self):
         if self.scale <= 0 or self.max_abs <= 0:
             raise ValueError("scale and max_abs must be positive")
-        if self.q < 2:
-            raise ValueError("q must be a prime >= 2")
+        object.__setattr__(self, "q", _check_prime_modulus(self.q))
 
 
 def encode_dataset(X: np.ndarray, codec: FixedPointCodec) -> Database:
@@ -366,17 +381,18 @@ def private_gram(
 ):
     """Encode, retrieve every pair through the simulator, decode.
 
-    Returns (real Gram, transcript).  The default scheme is the constant-
-    query full download with one database instance, which supports any pair
-    count.
+    The request is every pair rank, ``range(T)`` with T = m(m+1)/2, over the
+    one-instance virtual files of the encoded dataset.  Returns (real Gram,
+    transcript).  The default scheme is the constant-query full download,
+    which supports any pair count.
     """
     from . import protocol  # local import: protocol does not need gram_ml
 
     if scheme is None:
         scheme = protocol.FullDownloadScheme()
     db = encode_dataset(X, codec)
-    pairs = protocol.PairSet(set(PairOrdering(db.K)))
-    transcript = protocol.retrieve_pairs(scheme, pairs, [db], n_servers, seed)
+    space, data = protocol.virtual_data_from_databases([db])
+    transcript = protocol.run_retrieval(scheme, space, n_servers, range(space.T), data, seed)
     ipv = InnerProductVector(db.q, db.K, transcript.decoded[:, 0])
     return decode_gram(ipv, codec), transcript
 

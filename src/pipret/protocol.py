@@ -7,8 +7,11 @@ nu independent database instances, which gives each inner product a genuine
 message length so measured rates are comparable to the closed-form bounds.
 
 A scheme turns a request (a sorted tuple of virtual-file indices) into one
-query per server; a query is a tuple of blocks, a block is a tuple of sums,
-and a sum is a tuple of (file, symbol_index) terms the server adds up mod q.
+query per server.  A query is a tuple of ``SumBlock``s: read-only intp arrays
+``files`` and ``indices`` naming the (file, symbol index) terms, and
+``starts``, the offset of each sum's first term.  A server answers a block
+with one gather and a segmented sum mod q.  Iterating a block yields each
+sum as a tuple of (file, index) terms, the view the privacy audit reads.
 Servers are memoryless: the answer is a pure function of the query and the
 replicated data.  Decoding must reproduce the requested symbols exactly;
 a mismatch is a hard failure, never a statistic.
@@ -32,7 +35,7 @@ from __future__ import annotations
 import abc
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -40,16 +43,17 @@ import numpy as np
 import scipy.stats
 
 from .bounds import BoundQuery, inverse_rate_achievable, inverse_rate_converse
-from .fields import Database, PairIndex, compute_table, is_prime, pair_count, pair_rank
+from .fields import PairIndex, _check_prime_modulus, compute_table, pair_count, pair_rank
 
 MIN_AUDIT_SAMPLES = 10_000
 # permutation entries (samples * P * T * nu) drawn per chunk of a batched tally
 _TALLY_BLOCK = 1 << 20
+_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
 class VirtualFileSpace:
-    """T virtual files of nu symbols each over F(q)."""
+    """T virtual files of nu symbols each over F(q), q a prime below 2**61."""
 
     T: int
     q: int
@@ -58,8 +62,7 @@ class VirtualFileSpace:
     def __post_init__(self):
         if self.T < 1 or self.nu < 1:
             raise ValueError("T and nu must be >= 1")
-        if not is_prime(self.q):
-            raise ValueError(f"q must be a prime, got {self.q}")
+        object.__setattr__(self, "q", _check_prime_modulus(self.q))
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,53 @@ class PairSet:
 
     def ranks(self, K: int) -> tuple[int, ...]:
         return tuple(sorted(pair_rank(K, p) for p in self.pairs))
+
+
+@dataclass(frozen=True, eq=False)
+class SumBlock:
+    """Sums a server adds up mod q, as read-only intp arrays.
+
+    Sum s adds the symbols ``data[files[k], indices[k]]`` for k from
+    ``starts[s]`` up to the next start (or the end); every sum has at least
+    one term.  ``len`` counts the sums, iteration yields each sum as a tuple
+    of (file, index) terms, and equality compares the arrays.
+    """
+
+    files: np.ndarray
+    indices: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self):
+        arrays = [np.array(a, dtype=np.intp) for a in (self.files, self.indices, self.starts)]
+        files, indices, starts = arrays
+        if any(a.ndim != 1 for a in arrays) or len(files) != len(indices):
+            raise ValueError("files and indices must be 1-D arrays of one length")
+        bounds = np.append(starts, len(files))
+        if bounds[0] != 0 or (np.diff(bounds) <= 0).any():
+            raise ValueError("starts must rise from 0 and give every sum a term")
+        for name, a in zip(("files", "indices", "starts"), arrays):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __iter__(self):
+        files, indices = self.files.tolist(), self.indices.tolist()
+        bounds = self.starts.tolist() + [len(files)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield tuple(zip(files[lo:hi], indices[lo:hi]))
+
+    def __eq__(self, other):
+        if not isinstance(other, SumBlock):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("files", "indices", "starts")
+        )
+
+
+_NO_SUMS = SumBlock((), (), ())
 
 
 @dataclass
@@ -123,7 +173,7 @@ class UnsupportedParameters(ValueError):
 
 class RetrievalScheme(abc.ABC):
     """Interface every scheme implements; ``answer`` is shared because all
-    queries are lists of explicit sums."""
+    queries are blocks of explicit sums."""
 
     name: str = "abstract"
     deterministic_query: bool = False
@@ -144,17 +194,23 @@ class RetrievalScheme(abc.ABC):
         ...
 
     def answer(self, space, server_query, data) -> list:
-        """Evaluate each sum of each block mod q against replicated data."""
+        """Each block's sums mod q, one int64 array per block, from the
+        replicated (T, nu) symbols in [0, q).
+
+        One gather and one segmented sum per block.  The sum runs in int64
+        while its longest sum cannot pass 2**63 - 1, and in Python integers
+        beyond that (long sums with q near 2**61)."""
         q = space.q
         out = []
         for block in server_query:
-            vals = []
-            for terms in block:
-                acc = 0
-                for f, i in terms:
-                    acc += int(data[f, i])
-                vals.append(acc % q)
-            out.append(vals)
+            values = np.asarray(data[block.files, block.indices], dtype=np.int64)
+            if not len(block):
+                out.append(values)
+                continue
+            longest = int(np.diff(block.starts, append=len(values)).max())
+            if (q - 1) * longest > _INT64_MAX:
+                values = values.astype(object)
+            out.append((np.add.reduceat(values, block.starts) % q).astype(np.int64))
         return out
 
     @abc.abstractmethod
@@ -239,15 +295,15 @@ class FullDownloadScheme(RetrievalScheme):
 
     def query(self, space, n_servers, request, rng=None) -> QueryPlan:
         self.check_supports(space, n_servers)
-        everything = tuple(
-            ((f, i),) for f in range(space.T) for i in range(space.nu)
+        T, nu = space.T, space.nu
+        everything = SumBlock(
+            np.repeat(np.arange(T), nu), np.tile(np.arange(nu), T), np.arange(T * nu)
         )
-        queries = [(everything,)] + [((),)] * (n_servers - 1)
+        queries = [(everything,)] + [(_NO_SUMS,)] * (n_servers - 1)
         return QueryPlan(server_queries=queries, state=tuple(request))
 
     def decode(self, space, plan, answers) -> np.ndarray:
-        table = np.array(answers[0][0], dtype=np.int64).reshape(space.T, space.nu)
-        return table[list(plan.state)]
+        return answers[0][0].reshape(space.T, space.nu)[list(plan.state)]
 
 
 class LeakyIndexScheme(RetrievalScheme):
@@ -265,13 +321,13 @@ class LeakyIndexScheme(RetrievalScheme):
 
     def query(self, space, n_servers, request, rng=None) -> QueryPlan:
         self.check_supports(space, n_servers)
-        block = tuple(((f, i),) for f in request for i in range(space.nu))
-        queries = [(block,)] + [((),)] * (n_servers - 1)
+        P, nu = len(request), space.nu
+        block = SumBlock(np.repeat(request, nu), np.tile(np.arange(nu), P), np.arange(P * nu))
+        queries = [(block,)] + [(_NO_SUMS,)] * (n_servers - 1)
         return QueryPlan(server_queries=queries, state=tuple(request))
 
     def decode(self, space, plan, answers) -> np.ndarray:
-        vals = np.array(answers[0][0], dtype=np.int64)
-        return vals.reshape(len(plan.state), space.nu)
+        return answers[0][0].reshape(len(plan.state), space.nu)
 
 
 # --- subpacketized side-information scheme -------------------------------------
@@ -366,9 +422,9 @@ def per_server_download(T: int, N: int) -> int:
 class _RunLayout:
     """One run of ``_pir_run_structure`` with desired file theta.
 
-    ``sums[n]`` lists server n's sums in the order they are sent, each a
-    tuple of (file, slot) terms in file order; a slot becomes a symbol
-    index through the run's permutation of its file.  With the run's
+    ``sums[n]`` is server n's ``SumBlock`` of sums in the order they are
+    sent, terms in file order, whose ``indices`` are slots: a slot becomes a
+    symbol index through the run's permutation of its file.  With the run's
     answers of all servers concatenated and a 0 appended as ``flat``, the
     desired file decodes as ``out[perm_theta[desired]] = (flat[read] -
     flat[side]) % q``.
@@ -393,7 +449,10 @@ def _run_layout(T: int, N: int, theta: int) -> _RunLayout:
         # supports for every theta, whatever the run's permutations
         order = sorted(range(len(real)), key=lambda p: (len(real[p]), [f for f, _ in real[p]]))
         flat_at.update({(n, pos): len(flat_at) + sent for sent, pos in enumerate(order)})
-        sums.append(tuple(real[pos] for pos in order))
+        in_order = [real[pos] for pos in order]
+        terms = [t for s in in_order for t in s]
+        starts = np.cumsum([0] + [len(s) for s in in_order[:-1]])
+        sums.append(SumBlock([f for f, _ in terms], [slot for _, slot in terms], starts))
     desired, read, side = [], [], []
     for kind, n, pos, slot, *other in struct.recover:
         desired.append(slot)
@@ -437,12 +496,9 @@ class RepeatedPirScheme(RetrievalScheme):
         server_blocks = [[] for _ in range(n_servers)]
         runs = []
         for theta in request:
-            perms = [rng.permutation(nu) for _ in range(T)]
-            index = [perm.tolist() for perm in perms]
+            perms = np.stack([rng.permutation(nu) for _ in range(T)])
             for blocks, sums in zip(server_blocks, _run_layout(T, n_servers, theta).sums):
-                blocks.append(
-                    tuple(tuple((f, index[f][slot]) for f, slot in terms) for terms in sums)
-                )
+                blocks.append(SumBlock(sums.files, perms[sums.files, sums.indices], sums.starts))
             runs.append((theta, perms[theta]))
         queries = [tuple(blocks) for blocks in server_blocks]
         return QueryPlan(server_queries=queries, state=runs)
@@ -452,7 +508,7 @@ class RepeatedPirScheme(RetrievalScheme):
         out = np.full((len(plan.state), space.nu), -1, dtype=np.int64)
         for r, (theta, perm_theta) in enumerate(plan.state):
             layout = _run_layout(space.T, len(answers), theta)
-            flat = np.array([v for server in answers for v in server[r]] + [0], dtype=np.int64)
+            flat = np.concatenate([server[r] for server in answers] + [[0]])
             out[r, perm_theta[layout.desired]] = (flat[layout.read] - flat[layout.side]) % q
         if (out < 0).any():
             raise DecodeMismatchError("decoder left symbols unassigned")
@@ -489,10 +545,10 @@ class RepeatedPirScheme(RetrievalScheme):
             )
             tally[("structure", n)][tuple(sorted(run_keys))] = samples
         # slots[r][n][f]: the slots of file f in server n's sums of run r
-        slots = []
-        for layout in layouts:
-            terms = [np.array([t for s in sums for t in s], dtype=np.intp) for sums in layout.sums]
-            slots.append([[ft[ft[:, 0] == f, 1] for f in range(T)] for ft in terms])
+        slots = [
+            [[sums.indices[sums.files == f] for f in range(T)] for sums in layout.sums]
+            for layout in layouts
+        ]
         width = (nu + 7) // 8
         identity = np.arange(nu, dtype=np.min_scalar_type(nu - 1))
         chunk = max(1, _TALLY_BLOCK // (P * T * nu))
@@ -863,6 +919,7 @@ def _two_sample_chisquare(c1: Counter, c2: Counter, min_bucket: int = 10):
 __all__ = [
     "VirtualFileSpace",
     "PairSet",
+    "SumBlock",
     "QueryPlan",
     "RetrievalTranscript",
     "DecodeMismatchError",

@@ -140,6 +140,17 @@ def test_virtual_file_commands_reject_a_composite_modulus(command, capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_virtual_file_commands_reject_a_modulus_from_2_to_the_61(command, capsys):
+    code, out, err = _run(
+        [command, "--T", "2", "--q", str(2**127 - 1), "--scheme", "full_download"], capsys
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "exceeds the 2**61 limit" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("seeds", ["0", "-1"])
 def test_simulate_rejects_runs_without_seeds(seeds, capsys):
     code, out, err = _run(
@@ -219,6 +230,21 @@ def test_ml_demo_svm_private(tmp_path, capsys):
     assert res["gram_bitmatch"] is True
     assert res["kkt_residual"] < 1e-6
     assert res["oracle_max_decision_delta"] < 1e-6
+
+
+@pytest.mark.parametrize("q,reason", [("4", "is not prime"), (str(2**127 - 1), "2**61 limit")])
+def test_ml_demo_private_rejects_a_bad_modulus(q, reason, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_dataset(data)
+    code, out, err = _run(
+        ["ml-demo", "--data", str(data), "--label", "label", "--task", "regression",
+         "--private", "--q", q],
+        capsys,
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert reason in err
+    assert "Traceback" not in err
 
 
 def test_ml_demo_missing_file_is_io_error(tmp_path, capsys):

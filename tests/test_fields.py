@@ -168,8 +168,8 @@ def _prime_from(n, step):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_compute_table_matches_integer_oracle_at_the_object_switch(data):
-    """L*(q-1)**2 drawn just below and above 2**62, where compute_table
-    leaves int64 matmul for Python integers."""
+    """L*(q-1)**2 drawn just below and above 2**62, and far above it, where
+    one int64 dot product over all L columns would wrap."""
     L = data.draw(st.integers(1, 64), label="L")
     side = data.draw(st.sampled_from(["below", "above", "far above"]), label="side")
     offset = data.draw(st.integers(0, 10**6), label="offset")
@@ -197,6 +197,42 @@ def test_compute_table_matches_integer_oracle_at_the_object_switch(data):
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
             idx[0] = 0
+
+
+# (q-1)**2 <= 2**63 - 1 exactly when q <= OBJECT_SWITCH
+OBJECT_SWITCH = math.isqrt(2**63 - 1) + 1
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_compute_table_matches_integer_oracle_next_to_python_integers(side, L):
+    """The primes next to the switch: below it every column is its own
+    int64 block, above it the product runs in Python integers."""
+    q = _prime_from(OBJECT_SWITCH, -1) if side == "below" else _prime_from(OBJECT_SWITCH + 1, 1)
+    assert ((q - 1) ** 2 <= 2**63 - 1) is (side == "below")
+    rng = np.random.default_rng(L)
+    for db in (
+        Database(q, np.full((3, L), q - 1, dtype=np.int64)),
+        Database(q, rng.integers(0, q, size=(4, L), dtype=np.int64)),
+    ):
+        assert compute_table(db).values.tolist() == _table_oracle(db)
+
+
+@pytest.mark.parametrize("q,width", [(10**9 + 7, 9), (2**31 - 1, 2), (65537, 2147483647)])
+def test_compute_table_matches_integer_oracle_across_column_blocks(q, width):
+    """One int64 block holds floor((2**63 - 1) / (q-1)**2) columns; check L
+    at one block, one block plus one column, and several blocks."""
+    assert (2**63 - 1) // (q - 1) ** 2 == width
+    lengths = [width, width + 1, 3 * width + 2] if width < 100 else [1, 40]
+    if q == 10**9 + 7:
+        lengths.append(12)  # the learn datasets' feature count
+    rng = np.random.default_rng(q % 1000)
+    for L in lengths:
+        for db in (
+            Database(q, np.full((3, L), q - 1, dtype=np.int64)),
+            Database(q, rng.integers(0, q, size=(5, L), dtype=np.int64)),
+        ):
+            assert compute_table(db).values.tolist() == _table_oracle(db)
 
 
 def test_table_permutation_symmetry():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipret.fields import compute_table
+from pipret.fields import compute_table, pair_count
+from pipret.protocol import VirtualFileSpace
 from pipret.gram_ml import (
     FixedPointCodec,
     LabeledGram,
@@ -135,6 +136,24 @@ def test_validate_gram_rejects_non_psd():
         validate_gram(np.array([[1.0, 2.0], [2.0, 1.0]]))
     with pytest.raises(ValueError, match="symmetric"):
         validate_gram(np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("augment", [True, False])
+def test_fits_reject_a_non_psd_gram_like_validate_gram(augment):
+    # G + 1 = [[2, 1], [1, 0.5]] is PSD while G is not: the augmented fit
+    # must still check G itself
+    G = np.array([[1.0, 0.0], [0.0, -0.5]])
+    with pytest.raises(ValueError, match="not PSD: min eigenvalue -5.000e-01"):
+        validate_gram(G)
+    with pytest.raises(ValueError, match="not PSD: min eigenvalue -5.000e-01"):
+        regression_fit(G, [1.0, 2.0], augment=augment)
+    with pytest.raises(ValueError, match="not PSD: min eigenvalue -5.000e-01"):
+        pca_gram(G, 1)
+    for fit in (lambda g: regression_fit(g, [1.0, 2.0], augment=augment), lambda g: pca_gram(g, 1)):
+        with pytest.raises(ValueError, match="symmetric"):
+            fit(np.array([[1.0, 0.5], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="square"):
+            fit(np.ones((2, 3)))
 
 
 def test_regression_identity_gram():
@@ -328,6 +347,31 @@ def test_codec_validation():
         FixedPointCodec(scale=0.0, q=101, max_abs=1.0)
     with pytest.raises(ValueError):
         FixedPointCodec(scale=1.0, q=1, max_abs=1.0)
+
+
+@pytest.mark.parametrize("q", [4, 9, 561, 2**32])
+def test_codec_rejects_a_composite_modulus(q):
+    with pytest.raises(ValueError, match="not prime"):
+        FixedPointCodec(scale=1.0, q=q, max_abs=1.0)
+
+
+def test_codec_rejects_a_modulus_from_2_to_the_61():
+    with pytest.raises(ValueError, match=r"2\*\*61"):
+        FixedPointCodec(scale=1.0, q=2**127 - 1, max_abs=1.0)
+    assert FixedPointCodec(scale=1.0, q=2**61 - 1, max_abs=1.0).q == 2**61 - 1
+
+
+def test_private_gram_requests_every_pair_rank():
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1.0, 1.0, size=(7, 3))
+    codec = FixedPointCodec(scale=100.0, q=10**9 + 7, max_abs=1.0)
+    G_priv, transcript = private_gram(X, codec, n_servers=3, seed=1)
+    T = pair_count(7)
+    assert transcript.request == tuple(range(T))
+    assert transcript.space == VirtualFileSpace(T=T, q=codec.q, nu=1)
+    assert transcript.downloaded == T * transcript.space.nu
+    assert transcript.per_server_counts == (T, 0, 0)
+    assert G_priv.tobytes() == direct_gram(X, codec).tobytes()
 
 
 def test_private_gram_bit_identical():

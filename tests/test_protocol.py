@@ -24,6 +24,7 @@ from pipret.protocol import (
     PairSet,
     RepeatedPirScheme,
     RetrievalScheme,
+    SumBlock,
     UnsupportedParameters,
     VirtualFileSpace,
     audit_privacy,
@@ -41,6 +42,108 @@ from pipret.protocol import _empty_tally, _pir_run_structure
 def _random_data(space, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, space.q, size=(space.T, space.nu))
+
+
+# --- query blocks and answers -------------------------------------------------------
+
+
+def _block(sums):
+    """A SumBlock from a list of sums, each a list of (file, index) terms."""
+    starts = np.cumsum([0] + [len(terms) for terms in sums])[:-1]
+    terms = [t for s in sums for t in s]
+    return SumBlock([f for f, _ in terms], [i for _, i in terms], starts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_answer_matches_a_python_integer_oracle(data):
+    T = data.draw(st.integers(1, 6), label="T")
+    nu = data.draw(st.integers(1, 4), label="nu")
+    q = data.draw(st.sampled_from([2, 5, 10**9 + 7, 2**61 - 1]), label="q")
+    space = VirtualFileSpace(T=T, q=q, nu=nu)
+    if data.draw(st.booleans(), label="all q-1"):
+        symbols = [[q - 1] * nu for _ in range(T)]
+    else:
+        symbol = st.one_of(st.sampled_from([0, q - 1]), st.integers(0, q - 1))
+        symbols = [data.draw(st.lists(symbol, min_size=nu, max_size=nu)) for _ in range(T)]
+    term = st.tuples(st.integers(0, T - 1), st.integers(0, nu - 1))
+    sums = st.lists(st.lists(term, min_size=1, max_size=T), max_size=6)
+    query = data.draw(st.lists(sums, min_size=1, max_size=3), label="query")
+    answers = FullDownloadScheme().answer(
+        space, tuple(_block(b) for b in query), np.array(symbols, dtype=np.int64)
+    )
+    want = [[sum(symbols[f][i] for f, i in terms) % q for terms in b] for b in query]
+    assert [a.dtype for a in answers] == [np.int64] * len(query)
+    assert [a.tolist() for a in answers] == want
+
+
+def test_answer_is_exact_where_int64_sums_would_wrap():
+    q = 2**61 - 1
+    space = VirtualFileSpace(T=6, q=q, nu=1)
+    data = np.full((6, 1), q - 1, dtype=np.int64)
+    # four terms fit in int64, five of q-1 pass 2**63 - 1
+    query = (_block([[(f, 0) for f in range(k)] for k in range(1, 7)]),)
+    (got,) = FullDownloadScheme().answer(space, query, data)
+    assert got.tolist() == [k * (q - 1) % q for k in range(1, 7)]
+
+
+def test_sum_block_views_and_validation():
+    block = _block([[(0, 1)], [(1, 0), (2, 3)]])
+    assert len(block) == 2
+    assert list(block) == [((0, 1),), ((1, 0), (2, 3))]
+    assert block == _block([[(0, 1)], [(1, 0), (2, 3)]])
+    assert block != _block([[(0, 1)], [(1, 0), (2, 2)]])
+    assert block != _block([[(0, 1), (1, 0)], [(2, 3)]])
+    assert list(SumBlock((), (), ())) == [] and len(SumBlock((), (), ())) == 0
+    for a in (block.files, block.indices, block.starts):
+        assert a.dtype == np.intp and not a.flags.writeable
+    with pytest.raises(ValueError, match="every sum"):
+        SumBlock([0, 1], [0, 0], [0, 2])  # an empty last sum
+    with pytest.raises(ValueError, match="every sum"):
+        SumBlock([0, 1], [0, 0], [1])  # terms before the first sum
+    with pytest.raises(ValueError, match="one length"):
+        SumBlock([0, 1], [0], [0])
+
+
+def _tuple_view_oracle(name, space, N, request, rng):
+    """Queries in the nested-tuple form, built straight from the scheme
+    definitions: a query is a tuple of blocks, a block a tuple of sums, a
+    sum a tuple of (file, index) terms."""
+    T, nu = space.T, space.nu
+    if name in ("full_download", "leaky_index"):
+        files = range(T) if name == "full_download" else request
+        return [(tuple(((f, i),) for f in files for i in range(nu)),)] + [((),)] * (N - 1)
+    struct = _pir_run_structure(T, N)
+    blocks = [[] for _ in range(N)]
+    for theta in request:
+        index = [rng.permutation(nu).tolist() for _ in range(T)]
+        swap = list(range(T))
+        swap[0], swap[theta] = theta, 0
+        for n, server_sums in enumerate(struct.sums):
+            real = [tuple(sorted((swap[f], slot) for f, slot in terms)) for terms in server_sums]
+            real.sort(key=lambda terms: (len(terms), [f for f, _ in terms]))
+            sums = (tuple((f, index[f][slot]) for f, slot in terms) for terms in real)
+            blocks[n].append(tuple(sums))
+    return [tuple(b) for b in blocks]
+
+
+@pytest.mark.parametrize(
+    "name,T,N,P",
+    [("full_download", 3, 2, 2), ("full_download", 4, 1, 1), ("leaky_index", 3, 2, 2),
+     ("leaky_index", 4, 3, 1), ("repeated_pir", 2, 2, 1), ("repeated_pir", 3, 2, 2),
+     ("repeated_pir", 3, 3, 3), ("repeated_pir", 4, 2, 2)],
+)
+def test_sum_block_iteration_is_the_nested_tuple_view(name, T, N, P):
+    scheme = make_scheme(name)
+    nu = N**T if name == "repeated_pir" else 2
+    space = VirtualFileSpace(T=T, q=5, nu=nu)
+    for request in itertools.combinations(range(T), P):
+        for seed in range(3):
+            plan = scheme.query(space, N, request, np.random.default_rng(seed))
+            view = [tuple(tuple(block) for block in sq) for sq in plan.server_queries]
+            assert view == _tuple_view_oracle(name, space, N, request, np.random.default_rng(seed))
+            for sq in plan.server_queries:
+                assert all(isinstance(block, SumBlock) for block in sq)
 
 
 # --- full download ---------------------------------------------------------------
@@ -225,7 +328,7 @@ def test_decode_mismatch_is_hard_failure():
     class CorruptingScheme(RepeatedPirScheme):
         def answer(self, space, server_query, data):
             out = super().answer(space, server_query, data)
-            if out and out[0]:
+            if out and len(out[0]):
                 out[0][0] = (out[0][0] + 1) % space.q
             return out
 
@@ -313,6 +416,13 @@ def test_rate_summary_rejects_an_empty_run_list():
 def test_virtual_file_space_rejects_a_non_prime_modulus(q):
     with pytest.raises(ValueError, match="prime"):
         VirtualFileSpace(T=2, q=q, nu=1)
+
+
+@pytest.mark.parametrize("q", [2**61, 2**89 - 1, 2**107 - 1, 2**127 - 1])
+def test_virtual_file_space_rejects_a_prime_modulus_from_2_to_the_61(q):
+    with pytest.raises(ValueError, match=r"2\*\*61"):
+        VirtualFileSpace(T=2, q=q, nu=1)
+    assert VirtualFileSpace(T=2, q=2**61 - 1, nu=1).q == 2**61 - 1
 
 
 def test_no_scheme_beats_converse():
