@@ -152,6 +152,7 @@ def cmd_converge(params: dict, master_seed: int):
             "l2_dist": float(trace.l2_dists[L - 1]),
             "lambda2_power": lam2 ** (L - 1),
             "exact": trace.exact,
+            "sup_floor": float(trace.sup_floors[L - 1]),
         }
         for L in range(1, L_max + 1)
     ]

@@ -13,18 +13,23 @@ convolution operator on the group and its full spectrum is the multi-
 dimensional discrete Fourier transform of the increment distribution: an
 O(q^T log q^T) computation instead of an O(q^(3T)) eigendecomposition.
 Irreducibility and strict positivity of M^(5T) are decided by the same
-transform, as Fourier-domain convolutions of level-set indicators.  The
-dense matrix path is retained purely as a brute-force oracle for tests and
-acceptance.
+transform, as Fourier-domain convolutions of level-set indicators; those
+indicators are real, so the walk uses real-input transforms over the half
+spectrum.  The dense matrix path is retained purely as a brute-force oracle
+for tests and acceptance.
 
 Evolution of the walk is carried out in exact integer arithmetic whenever
 the state space allows: the distribution after L steps is a vector of
 counts over q^(K*L), so per-step contraction ratios can be measured at the
 1e-9 tolerance the verification suite demands, which double-precision
-convolution cannot guarantee beyond L ~ 25.  Beyond that range the l2
-distance comes from Parseval over the character spectrum,
-l2(L)^2 = (1/n) sum_(chi != 0) |lambda_chi|^(2L), which carries no
-convolution rounding noise.
+convolution cannot guarantee beyond L ~ 25.  Beyond that range the
+distributions come from inverse transforms of the powers of the increment
+spectrum.  Every distribution is real, so one complex inverse transform of
+p_hat_L + i*p_hat_(L+1) yields p_L as its real part and p_(L+1) as its
+imaginary part, two steps per transform; each row carries a rounding
+bound on its sup distance.  The l2 distance comes from Parseval over the
+character spectrum, l2(L)^2 = (1/n) sum_(chi != 0) |lambda_chi|^(2L),
+which carries no convolution rounding noise.
 """
 
 from __future__ import annotations
@@ -133,6 +138,18 @@ class Spectrum:
     lambda2: float
 
 
+def _increment_transform(d: DeltaDistribution) -> np.ndarray:
+    """Unnormalised DFT of the increment law, shaped (q,) * T.
+
+    Complex input transformed last axis first runs the passes of
+    ``np.fft.fftn`` in its order and rounds every entry as it does; the
+    real-input transform differs in the last bit, which the 2L-th powers in
+    the float path's Parseval sum lift to about 2e-15 relative in l2.
+    """
+    nd = d.probs.reshape((d.q,) * d.T).astype(complex)
+    return scipy.fft.fftn(nd, axes=tuple(range(d.T - 1, -1, -1)))
+
+
 def spectrum_via_characters(d: DeltaDistribution) -> Spectrum:
     """Full spectrum from the group Fourier transform of the increment law.
 
@@ -140,10 +157,9 @@ def spectrum_via_characters(d: DeltaDistribution) -> Spectrum:
     sum_delta probs[delta] * exp(2*pi*i*<chi, delta>/q); the chi = 0
     eigenvalue is 1 and lambda2 is the largest remaining modulus.
     """
-    nd = d.probs.reshape((d.q,) * d.T)
     # fftn uses the negative-sign kernel; conjugating a real input's
     # transform yields the positive-sign character sums
-    eig = np.conj(np.fft.fftn(nd)).ravel()
+    eig = np.conj(_increment_transform(d)).ravel()
     lambda2 = float(np.max(np.abs(eig[1:]))) if eig.size > 1 else 0.0
     return Spectrum(eigenvalues=eig, lambda2=lambda2)
 
@@ -182,7 +198,8 @@ def is_irreducible(d: DeltaDistribution) -> IrreducibilityReport:
     """Level sets S_0 = {0}, S_k = S_(k-1) + support of the walk in F(q)^T.
 
     Each step convolves the 0/1 indicator of S_(k-1) with that of the
-    support over the group by FFT; the convolution counts representations,
+    support over the group by real-input FFT (``rfftn``/``irfftn`` over all
+    T axes in one call); the convolution counts representations,
     integers in [0, |support|], so it is rounded, and ArithmeticError is
     raised if any entry lies 0.25 or more from an integer.  The walk stops
     once a level set is the whole group (G + s = G keeps it full), or once
@@ -197,13 +214,13 @@ def is_irreducible(d: DeltaDistribution) -> IrreducibilityReport:
     shape = (q,) * T
     n = q**T
     gamma = 5 * T
-    support_hat = np.fft.fftn((d.counts > 0).reshape(shape))
+    support_hat = scipy.fft.rfftn((d.counts > 0).reshape(shape).astype(float))
     level = np.zeros(shape, dtype=bool)
     level.flat[0] = True
     union = level.copy()
     k, grown = 0, True
     while not level.all() and (k < gamma or grown):
-        conv = np.fft.ifftn(np.fft.fftn(level) * support_hat).real
+        conv = scipy.fft.irfftn(scipy.fft.rfftn(level.astype(float)) * support_hat, s=shape)
         counts = np.rint(conv)
         if np.abs(conv - counts).max() >= 0.25:
             raise ArithmeticError(f"level-set convolution off the integers at step {k + 1}")
@@ -299,7 +316,10 @@ class ConvergenceTrace:
     """Distances to uniform along the walk, plus a geometric fit.
 
     ``sup_dists[L-1]`` and ``l2_dists[L-1]`` are the distances of the
-    length-L table distribution from uniform.  The fit models
+    length-L table distribution from uniform.  ``sup_floors[L-1]`` bounds
+    the rounding error of ``sup_dists[L-1]``: 0 on an exact trace, the
+    bound derived in ``_float_sup_floors`` on a float one, so a sup
+    distance at or below its floor is rounding noise.  The fit models
     l2_dist(L) ~ c * rate**(L-1) by least squares on the log distances
     over the last half of the trace.
     """
@@ -308,6 +328,7 @@ class ConvergenceTrace:
     K: int
     L_max: int
     sup_dists: np.ndarray
+    sup_floors: np.ndarray
     l2_dists: np.ndarray
     fitted_rate: float
     fitted_constant: float
@@ -323,9 +344,11 @@ def evolve(
     The length-1 table has exactly the increment law; each further column
     convolves the current law with the increment law over the group.  Small
     state spaces use exact integer numerators over q**(K*L); larger ones
-    fall back to Fourier-domain convolution in doubles for the distribution
-    and ``sup_dists``, and to Parseval over the character spectrum for
-    ``l2_dists``, exact up to the rounding of the eigenvalue moduli.
+    fall back to doubles: the distributions and ``sup_dists`` come from
+    inverse transforms of the powered increment spectrum, two steps per
+    transform, with ``sup_floors`` bounding their rounding, and
+    ``l2_dists`` from Parseval over the character spectrum, exact up to the
+    rounding of the eigenvalue moduli.
     """
     if not 1 <= L_max <= MAX_TRACE_LENGTH:
         raise ValueError(f"L_max must lie in [1, {MAX_TRACE_LENGTH}]")
@@ -334,9 +357,11 @@ def evolve(
         raise ValueError(f"state space {n} exceeds {ENUMERATION_LIMIT}")
     if n <= EXACT_EVOLVE_LIMIT and L_max <= 200:
         sup, l2, dists = _evolve_exact(d, L_max, store_distributions)
+        floors = np.zeros(L_max)
         exact = True
     else:
         sup, l2, dists = _evolve_float(d, L_max, store_distributions)
+        floors = _float_sup_floors(d.q, d.T, l2)
         exact = False
     rate, const = _fit_geometric(l2)
     return ConvergenceTrace(
@@ -344,6 +369,7 @@ def evolve(
         K=d.K,
         L_max=L_max,
         sup_dists=sup,
+        sup_floors=floors,
         l2_dists=l2,
         fitted_rate=rate,
         fitted_constant=const,
@@ -388,8 +414,7 @@ def _evolve_exact(d: DeltaDistribution, L_max: int, store: bool):
 def _evolve_float(d: DeltaDistribution, L_max: int, store: bool):
     q, T = d.q, d.T
     n = q**T
-    shape = (q,) * T
-    delta_hat = np.fft.fftn(d.probs.reshape(shape))
+    delta_hat = _increment_transform(d)
     # Parseval: l2(L)**2 = (1/n) sum_(chi != 0) |lambda_chi|**(2L).  Scaled by
     # lambda2**L, the sum keeps its leading terms at 1, so it neither
     # underflows nor sinks into the ~1e-17 rounding floor of ifftn
@@ -397,21 +422,85 @@ def _evolve_float(d: DeltaDistribution, L_max: int, store: bool):
     lam2 = float(mods.max())
     ratio_sq = (mods / lam2) ** 2 if lam2 > 0 else mods
     scaled = np.ones_like(ratio_sq)
-    p_hat = delta_hat.copy()
     pi = 1.0 / n
     sup_dists, l2_dists, dists = [], [], [] if store else None
     for L in range(1, L_max + 1):
-        if L > 1:
-            p_hat = p_hat * delta_hat
-        # scipy transforms all T axes in one call, where np.fft loops over
-        # them: about 3x faster at (q, K) = (2, 5)
-        p = scipy.fft.ifftn(p_hat).real.ravel()
-        sup_dists.append(float(np.max(np.abs(p - pi))))
         scaled *= ratio_sq
         l2_dists.append(lam2**L * math.sqrt(float(scaled.sum()) / n))
-        if store:
-            dists.append(np.clip(p, 0.0, None))
+    # p_L and p_(L+1) are real, so the inverse transform of
+    # p_hat_L + i*p_hat_(L+1) holds p_L in its real part and p_(L+1) in its
+    # imaginary part: one transform per two steps.  The pair is formed in
+    # the p_hat_L buffer, which the transform may then overwrite; an odd
+    # L_max ends with p_hat_L alone.
+    p_hat = delta_hat.copy()
+    next_hat = np.empty_like(delta_hat)
+    for L in range(1, L_max + 1, 2):
+        paired = L < L_max
+        if paired:
+            np.multiply(p_hat, delta_hat, out=next_hat)
+            p_hat.real -= next_hat.imag
+            p_hat.imag += next_hat.real
+        p = scipy.fft.ifftn(p_hat, overwrite_x=True)
+        for part in (p.real, p.imag) if paired else (p.real,):
+            sup_dists.append(max(float(part.max()) - pi, pi - float(part.min())))
+            if store:
+                dists.append(np.clip(part, 0.0, None).ravel())
+        if paired:
+            np.multiply(next_hat, delta_hat, out=p_hat)
     return np.array(sup_dists), np.array(l2_dists), dists
+
+
+def _float_sup_floors(q: int, T: int, l2_dists: np.ndarray) -> np.ndarray:
+    """Rounding bound on each ``sup_dists`` entry of ``_evolve_float``.
+
+    Notation: ||.|| is the l2 norm, n = q**T, u = 2**-53 the unit roundoff,
+    gamma_k = k*u/(1 - k*u), and p_L the exact length-L law.  By Parseval
+    and because p_L - pi is orthogonal to the constant pi,
+    ||p_L||**2 = 1/n + l2(L)**2, so every norm below comes from the
+    trace's own ``l2_dists``; and ||p_(L+1)|| <= ||p_L|| since every
+    character value has modulus at most 1.
+
+    FFT bound (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 24.2): a transform of t butterfly levels with twiddle factors
+    correct to u has normwise relative error at most
+    eps = t*eta / (1 - t*eta), eta = u + gamma_4*(sqrt(2) + u).  A pass of
+    length q counts ceil(log2 q) levels, so t = T*ceil(log2 q); for odd q
+    this prices the radix-q kernels as radix-2 levels.
+
+    Three first-order error terms reach the computed p_L:
+    - forward: the computed spectrum is delta_hat + e with
+      ||e|| <= eps*||delta_hat|| = eps*sqrt(n)*||p_1||.  With every
+      |delta_hat_chi| <= 1 the L-th power moves by at most L*|e_chi| per
+      character, and the inverse transform divides norms by sqrt(n):
+      L*eps*||p_1||.
+    - powers: the L - 1 complex products each round by at most
+      sqrt(2)*gamma_2 relatively (Higham, Lemma 3.5):
+      (L - 1)*sqrt(2)*gamma_2*||p_L||.
+    - inverse: the pair z = p_hat_Lo + i*p_hat_(Lo+1), Lo = L rounded down
+      to odd (the pair's first member), is formed with one rounding per
+      component and transformed with the 1/n scale rounded once, so its
+      error is at most (eps + 2u)*||p_Lo + i*p_(Lo+1)||
+      <= (eps + 2u)*sqrt(2)*||p_Lo||; the real and the imaginary part each
+      carry at most that.  The tail of an odd L_max is a pair without
+      its second member and stays under the same bound.
+    A sup distance moves by at most the largest entry error, which is at
+    most the l2 error; the roundings of pi and of p - pi stay below u
+    times the norms above.  The floor is twice the sum, which covers the
+    second-order terms (relative size L*eps < 1e-10 for L <= 1000).
+    """
+    n = q**T
+    u = 2.0**-53
+    gamma_2, gamma_4 = 2 * u / (1 - 2 * u), 4 * u / (1 - 4 * u)
+    t = T * (q - 1).bit_length()
+    eta = u + gamma_4 * (math.sqrt(2) + u)
+    eps = t * eta / (1 - t * eta)
+    L = np.arange(1, len(l2_dists) + 1)
+    norms = np.sqrt(1.0 / n + np.asarray(l2_dists) ** 2)
+    pair_norms = norms[::2].repeat(2)[: len(norms)]
+    inverse = math.sqrt(2) * (eps + 2 * u) * pair_norms
+    powers = (L - 1) * math.sqrt(2) * gamma_2 * pair_norms
+    forward = L * eps * norms[0]
+    return 2 * (forward + powers + inverse)
 
 
 def _fit_geometric(l2_dists: np.ndarray) -> tuple[float, float]:

@@ -76,8 +76,9 @@ def test_converge_csv_halves_l2(capsys):
     code, out, _ = _run(["converge", "--q", "2", "--K", "2", "--Lmax", "30"], capsys)
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[0] == "L,sup_dist,l2_dist,lambda2_power,exact"
+    assert lines[0] == "L,sup_dist,l2_dist,lambda2_power,exact,sup_floor"
     assert len(lines) == 31
+    assert all(line.endswith(",True,0.0") for line in lines[1:])
     l2 = [float(line.split(",")[2]) for line in lines[1:]]
     for a, b in zip(l2, l2[1:]):
         assert b == pytest.approx(a / 2, rel=1e-9)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,11 @@ from pipret.spectral import (
     sum_two_squares,
     transition_dense,
 )
-from pipret.spectral import _evolve_float  # float fallback cross-check
+from pipret.spectral import (  # float fallback cross-checks
+    _evolve_float,
+    _float_sup_floors,
+    _increment_transform,
+)
 
 
 def _counts_by_digits(d):
@@ -244,8 +249,8 @@ def test_irreducibility_matches_dense_oracle_on_planted_laws(data):
 
 
 def test_irreducibility_rejects_off_integer_convolution(monkeypatch):
-    ifftn = np.fft.ifftn
-    monkeypatch.setattr(np.fft, "ifftn", lambda a: ifftn(a) + 0.3)
+    irfftn = scipy.fft.irfftn
+    monkeypatch.setattr(scipy.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + 0.3)
     with pytest.raises(ArithmeticError):
         is_irreducible(delta_distribution(2, 2))
 
@@ -353,13 +358,66 @@ def test_evolve_float_path_agrees():
 def test_float_path_l2_is_parseval_exact():
     # at L = 60 these distances lie near or below the ~1e-17 rounding floor
     # of an inverse FFT; Parseval over the spectrum must still match the
-    # exact-integer path
+    # exact-integer path, and each float sup distance must lie within its
+    # stated rounding floor of the exact one
     for q, K in [(3, 2), (2, 3), (2, 4)]:
         d = delta_distribution(q, K)
-        _, l2_f, _ = _evolve_float(d, 60, False)
+        sup_f, l2_f, _ = _evolve_float(d, 60, False)
         exact = evolve(d, 60, store_distributions=False)
         assert exact.exact
+        assert not exact.sup_floors.any()
         np.testing.assert_allclose(l2_f, exact.l2_dists, rtol=1e-12, atol=0)
+        floors = _float_sup_floors(q, d.T, l2_f)
+        assert np.all(np.abs(sup_f - exact.sup_dists) <= floors)
+
+
+def _one_transform_per_step(d, L_max, store):
+    """Reference float path: one inverse transform per trace step."""
+    n = d.q**d.T
+    delta_hat = _increment_transform(d)
+    mods = np.abs(delta_hat.ravel()[1:])
+    lam2 = float(mods.max())
+    ratio_sq = (mods / lam2) ** 2 if lam2 > 0 else mods
+    scaled = np.ones_like(ratio_sq)
+    p_hat = delta_hat.copy()
+    sups, l2s, dists = [], [], [] if store else None
+    for L in range(1, L_max + 1):
+        if L > 1:
+            p_hat = p_hat * delta_hat
+        p = scipy.fft.ifftn(p_hat).real.ravel()
+        sups.append(float(np.max(np.abs(p - 1.0 / n))))
+        scaled *= ratio_sq
+        l2s.append(lam2**L * math.sqrt(float(scaled.sum()) / n))
+        if store:
+            dists.append(np.clip(p, 0.0, None))
+    return np.array(sups), np.array(l2s), dists
+
+
+# The two paths form the same spectral powers and differ only in their
+# inverse transforms, each within sqrt(2)*(eps + 2u)*||p_1|| < 3e-15 of
+# exact at these points (eps < 1.4e-14 and ||p_1|| < 0.18, in the notation
+# of _float_sup_floors); a swapped pair moves entries by the step-to-step
+# change of p_L, far above this tolerance
+PAIRED_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("store", [True, False])
+@pytest.mark.parametrize("L_max", [1, 2, 13, 40])
+@pytest.mark.parametrize("q, K", [(5, 3), (2, 5)])
+def test_paired_float_path_matches_one_transform_per_step(q, K, L_max, store):
+    d = delta_distribution(q, K)
+    sup, l2, dists = _evolve_float(d, L_max, store)
+    ref_sup, ref_l2, ref_dists = _one_transform_per_step(d, L_max, store)
+    assert len(sup) == len(l2) == L_max
+    np.testing.assert_array_equal(l2, ref_l2)
+    np.testing.assert_allclose(sup, ref_sup, rtol=0, atol=PAIRED_ATOL)
+    if store:
+        assert len(dists) == len(ref_dists) == L_max
+        for p, ref in zip(dists, ref_dists):
+            assert p.shape == ref.shape == (d.q**d.T,)
+            np.testing.assert_allclose(p, ref, rtol=0, atol=PAIRED_ATOL)
+    else:
+        assert dists is None and ref_dists is None
 
 
 def test_float_path_fitted_rate_is_lambda2():
@@ -367,6 +425,10 @@ def test_float_path_fitted_rate_is_lambda2():
     trace = evolve(d, 40, store_distributions=False)
     assert not trace.exact
     assert abs(trace.fitted_rate - spectrum_via_characters(d).lambda2) <= 1e-6
+    # the early distances are data, the late ones rounding noise
+    assert np.all(trace.sup_floors > 0)
+    assert trace.sup_dists[0] > trace.sup_floors[0]
+    assert trace.sup_dists[-1] < trace.sup_floors[-1]
 
 
 def test_evolve_guards():
