@@ -142,15 +142,13 @@ def cmd_spectrum(params: dict, master_seed: int):
 def cmd_converge(params: dict, master_seed: int):
     q, K = int(params["q"]), int(params["K"])
     L_max = int(params.get("Lmax", 30))
-    d = spectral.delta_distribution(q, K)
-    lam2 = spectral.spectrum_via_characters(d).lambda2
-    trace = spectral.evolve(d, L_max, store_distributions=False)
+    trace = spectral.evolve(spectral.delta_distribution(q, K), L_max, store_distributions=False)
     rows = [
         {
             "L": L,
             "sup_dist": float(trace.sup_dists[L - 1]),
             "l2_dist": float(trace.l2_dists[L - 1]),
-            "lambda2_power": lam2 ** (L - 1),
+            "lambda2_power": trace.lambda2 ** (L - 1),
             "exact": trace.exact,
             "sup_floor": float(trace.sup_floors[L - 1]),
         }

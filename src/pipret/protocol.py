@@ -229,6 +229,9 @@ class RetrievalScheme(abc.ABC):
         """Counts of ``samples`` draws of ``query_statistics`` per audit
         channel: ``("structure", n)`` and ``("indexes", n, f)``.
 
+        A channel's tally is a ``(keys, counts)`` pair of arrays: the
+        distinct statistics in ascending order, here the tuple keys of
+        ``query_statistics`` in a 1-D object array, and their int64 counts.
         This per-sample loop is the reference for overrides.  A scheme that
         declares ``deterministic_query`` is drawn twice, must give the same
         statistic both times, and that statistic is counted ``samples`` times.
@@ -252,13 +255,65 @@ class RetrievalScheme(abc.ABC):
                 tally[("structure", n)][structure_key] += weight
                 for f in range(space.T):
                     tally[("indexes", n, f)][file_keys[f]] += weight
-        return tally
+        return {ch: _counter_arrays(counter) for ch, counter in tally.items()}
 
 
 def _empty_tally(n_servers: int, T: int) -> dict:
     channels = [("structure", n) for n in range(n_servers)]
     channels += [("indexes", n, f) for n in range(n_servers) for f in range(T)]
     return {ch: Counter() for ch in channels}
+
+
+def _counter_arrays(counter: Counter) -> tuple:
+    """A ``Counter`` as a channel tally: its keys in ascending order in a
+    1-D object array, and their int64 counts."""
+    items = sorted(counter.items())
+    keys = np.fromiter((k for k, _ in items), dtype=object, count=len(items))
+    return keys, np.fromiter((c for _, c in items), dtype=np.int64, count=len(items))
+
+
+def _count_keys(keys: np.ndarray, weights: np.ndarray) -> tuple:
+    """The distinct keys in ascending order and the summed ``weights`` of
+    each (summed along the first axis).
+
+    Keys are the entries of a 1-D array or the rows of a 2-D one, rows
+    compared column by column from the first.
+    """
+    rows = keys[:, None] if keys.ndim == 1 else keys
+    # least significant column first, then stable sorts on the more
+    # significant ones; equal rows may land in any order
+    order = np.argsort(rows[:, -1])
+    for column in rows.T[-2::-1]:
+        order = order[np.argsort(column[order], kind="stable")]
+    rows = np.take(rows, order, axis=0)
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    return keys[order[starts]], np.add.reduceat(weights[order], starts, axis=0)
+
+
+def _rows_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether each row of ``a`` sorts before the same row of ``b``,
+    comparing the columns from the first."""
+    less = np.zeros(len(a), dtype=bool)
+    equal = np.ones(len(a), dtype=bool)
+    for x, y in zip(a.T, b.T):
+        less |= equal & (x < y)
+        equal &= x == y
+    return less
+
+
+def _sort_rows(arrays: list) -> list:
+    """Row by row, the rows of equally shaped 2-D arrays in ascending order:
+    the i-th array returned holds each row's i-th smallest, by an odd-even
+    transposition sort (the arrays are few: one per requested file)."""
+    arrays = list(arrays)
+    for phase in range(len(arrays)):
+        for i in range(phase % 2, len(arrays) - 1, 2):
+            a, b = arrays[i], arrays[i + 1]
+            swap = _rows_less(b, a)[:, None]
+            arrays[i], arrays[i + 1] = np.where(swap, b, a), np.where(swap, a, b)
+    return arrays
 
 
 def _server_statistic(server_query, T: int):
@@ -527,30 +582,46 @@ class RepeatedPirScheme(RetrievalScheme):
         a time by ``rng.permuted``, which consumes the generator exactly like
         the sequential ``rng.permutation(nu)`` calls.  Each (server, file)
         index set of a run is gathered through that file's slots in the run's
-        cached layout and keyed by its packed membership bits (a
-        ``V{ceil(nu/8)}`` scalar); the
-        sorted P run keys, concatenated, are the multiset key, and the keys of
-        a chunk are counted by sorting them.  Index-channel keys are
-        therefore ``bytes``, not the index tuples of the base loop.
-        The structure keys do not depend on the permutations, so each
-        structure channel is one key counted ``samples`` times.
+        cached layout.  An index channel's key packs the sample's P run
+        sets: each set is a mask with index j at bit 8w-1-j of a w =
+        ceil(nu/8) byte field (the bit order of ``np.packbits``), the P
+        masks are sorted as integers, and their fields, concatenated and
+        zero-padded, form a row of ceil(P*w/8) uint64 words, most
+        significant first.  Rows therefore sort like the concatenated packed
+        bytes of the sorted runs.  Each chunk's keys are counted into the
+        channel's sorted (keys, counts) arrays, so memory follows the chunk
+        and the distinct keys, not ``samples``.  The structure keys do not
+        depend on the permutations, so each structure channel is one tuple
+        key counted ``samples`` times.
         """
         self.check_supports(space, n_servers)
         T, nu, P = space.T, space.nu, len(request)
         layouts = [_run_layout(T, n_servers, theta) for theta in request]
-        tally = _empty_tally(n_servers, T)
+        tally = {}
         for n in range(n_servers):
             run_keys = (
                 tuple(sorted(tuple(f for f, _ in terms) for terms in layout.sums[n]))
                 for layout in layouts
             )
-            tally[("structure", n)][tuple(sorted(run_keys))] = samples
+            tally[("structure", n)] = _counter_arrays(Counter({tuple(sorted(run_keys)): samples}))
         # slots[r][n][f]: the slots of file f in server n's sums of run r
         slots = [
             [[sums.indices[sums.files == f] for f in range(T)] for sums in layout.sums]
             for layout in layouts
         ]
-        width = (nu + 7) // 8
+        # row j: index j's bit in a run mask, bit 63 - j % 64 of word j // 64,
+        # so a mask's big-endian bytes begin with its np.packbits bytes
+        j = np.arange(nu)
+        bit = np.zeros((nu, -(-nu // 64)), dtype=np.uint64)
+        bit[j, j // 64] = np.uint64(1) << (63 - j % 64).astype(np.uint64)
+        width = -(-nu // 8)
+        key_bytes = 8 * -(-P * width // 8)
+        for n in range(n_servers):
+            for f in range(T):
+                tally[("indexes", n, f)] = (
+                    np.zeros((0, key_bytes // 8), dtype=np.uint64),
+                    np.zeros(0, dtype=np.int64),
+                )
         identity = np.arange(nu, dtype=np.min_scalar_type(nu - 1))
         chunk = max(1, _TALLY_BLOCK // (P * T * nu))
         for start in range(0, samples, chunk):
@@ -558,20 +629,19 @@ class RepeatedPirScheme(RetrievalScheme):
             perms = rng.permuted(np.broadcast_to(identity, (S, P, T, nu)), axis=-1)
             for n in range(n_servers):
                 for f in range(T):
-                    member = np.zeros((S, P, nu), dtype=bool)
+                    # a run's indices are distinct, so summing their bits sets them
+                    masks = []
                     for r in range(P):
                         chosen = perms[:, r, f, slots[r][n][f]]
-                        np.put_along_axis(member[:, r], chosen, True, axis=-1)
-                    run_keys = np.packbits(member, axis=-1).view(f"V{width}")[..., 0]
-                    keys = np.sort(run_keys, axis=1).view(np.uint8).reshape(S, -1)
-                    # lexsort on the key bytes, not np.unique on void scalars,
-                    # whose generic comparison sort is several times slower
-                    keys = keys[np.lexsort(keys.T[::-1])]
-                    differs = (keys[1:] != keys[:-1]).any(axis=1)
-                    starts = np.flatnonzero(np.r_[True, differs])
-                    counts = np.diff(np.r_[starts, S])
-                    tally[("indexes", n, f)].update(
-                        dict(zip(map(bytes, keys[starts]), counts.tolist()))
+                        masks.append(sum(np.take(bit, column, axis=0) for column in chosen.T))
+                    joined = np.zeros((S, key_bytes), dtype=np.uint8)
+                    for place, mask in enumerate(_sort_rows(masks)):
+                        packed = mask.astype(">u8").view(np.uint8)[:, :width]
+                        joined[:, place * width : (place + 1) * width] = packed
+                    seen, counts = tally[("indexes", n, f)]
+                    tally[("indexes", n, f)] = _count_keys(
+                        np.concatenate([seen, joined.view(">u8").astype(np.uint64)]),
+                        np.concatenate([counts, np.ones(S, dtype=np.int64)]),
                     )
         return tally
 
@@ -761,10 +831,12 @@ def audit_privacy(
     the worst total-variation distance between the (point-mass) query
     distributions, which must be zero.  ``sampled`` mode tallies the
     canonical per-server statistic of ``samples`` queries per request set
-    (``RetrievalScheme.tally_statistics``), and runs
-    pairwise two-sample chi-square tests per canonical channel; the audit
-    fails when any p-value drops below alpha / n_tests (Bonferroni) or the
-    per-server download counts differ across request sets.
+    (``RetrievalScheme.tally_statistics``: per channel, the distinct
+    statistics as a sorted key array and their int64 counts), and runs
+    pairwise two-sample chi-square tests per canonical channel on those
+    arrays; the audit fails when any p-value drops below alpha / n_tests
+    (Bonferroni) or the per-server download counts differ across request
+    sets.
     """
     if not 1 <= P <= space.T:
         raise ValueError(f"P must lie in [1, T={space.T}]")
@@ -829,8 +901,9 @@ def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
 
 
 def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alpha):
-    # per request set: one Counter per channel; channels are the structure
-    # of each server's query plus each (server, file) index-usage pattern
+    # per request set: one (keys, counts) tally per channel; channels are the
+    # structure of each server's query plus each (server, file) index-usage
+    # pattern
     counters = {}
     for set_idx, req in enumerate(request_sets):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, set_idx]))
@@ -891,25 +964,25 @@ def _channel_label(ch) -> str:
     return f"indexes/server{ch[1]}/file{ch[2]}"
 
 
-def _two_sample_chisquare(c1: Counter, c2: Counter, min_bucket: int = 10):
-    """Two-sample chi-square with equal sample sizes; categories whose
-    combined count falls below ``min_bucket`` are pooled."""
-    # a total order, so the summation order never depends on hashing
-    cats = sorted(set(c1) | set(c2), key=lambda k: (-(c1[k] + c2[k]), k))
-    a, b = [], []
-    rest_a = rest_b = 0
-    for k in cats:
-        if c1[k] + c2[k] >= min_bucket:
-            a.append(c1[k])
-            b.append(c2[k])
-        else:
-            rest_a += c1[k]
-            rest_b += c2[k]
+def _two_sample_chisquare(tally1: tuple, tally2: tuple, min_bucket: int = 10):
+    """Two-sample chi-square with equal sample sizes between two channel
+    tallies, each a sorted (keys, counts) pair; categories whose combined
+    count falls below ``min_bucket`` are pooled."""
+    (keys1, counts1), (keys2, counts2) = tally1, tally2
+    sides = np.zeros((len(keys1) + len(keys2), 2), dtype=np.int64)
+    sides[: len(keys1), 0] = counts1
+    sides[len(keys1) :, 1] = counts2
+    _, sides = _count_keys(np.concatenate([keys1, keys2]), sides)
+    # by (-combined count, key): a total order, so the summation order
+    # never depends on hashing
+    a, b = sides[np.argsort(-sides.sum(axis=1), kind="stable")].T
+    kept = a + b >= min_bucket
+    rest_a, rest_b = a[~kept].sum(), b[~kept].sum()
+    a, b = a[kept], b[kept]
     if rest_a + rest_b > 0:
-        a.append(rest_a)
-        b.append(rest_b)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+        a, b = np.append(a, rest_a), np.append(b, rest_b)
+    a = a.astype(float)
+    b = b.astype(float)
     if len(a) <= 1:
         return 0.0, 0, 1.0
     with np.errstate(invalid="ignore"):

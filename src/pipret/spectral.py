@@ -321,7 +321,9 @@ class ConvergenceTrace:
     bound derived in ``_float_sup_floors`` on a float one, so a sup
     distance at or below its floor is rounding noise.  The fit models
     l2_dist(L) ~ c * rate**(L-1) by least squares on the log distances
-    over the last half of the trace.
+    over the last half of the trace.  ``lambda2`` is the second largest
+    eigenvalue modulus, the value ``spectrum_via_characters`` reports,
+    taken from the float path's own transform.
     """
 
     q: int
@@ -334,6 +336,7 @@ class ConvergenceTrace:
     fitted_constant: float
     distributions: list[np.ndarray] | None
     exact: bool
+    lambda2: float
 
 
 def evolve(
@@ -359,8 +362,9 @@ def evolve(
         sup, l2, dists = _evolve_exact(d, L_max, store_distributions)
         floors = np.zeros(L_max)
         exact = True
+        lambda2 = spectrum_via_characters(d).lambda2
     else:
-        sup, l2, dists = _evolve_float(d, L_max, store_distributions)
+        sup, l2, dists, lambda2 = _evolve_float(d, L_max, store_distributions)
         floors = _float_sup_floors(d.q, d.T, l2)
         exact = False
     rate, const = _fit_geometric(l2)
@@ -375,6 +379,7 @@ def evolve(
         fitted_constant=const,
         distributions=dists,
         exact=exact,
+        lambda2=lambda2,
     )
 
 
@@ -447,7 +452,7 @@ def _evolve_float(d: DeltaDistribution, L_max: int, store: bool):
                 dists.append(np.clip(part, 0.0, None).ravel())
         if paired:
             np.multiply(next_hat, delta_hat, out=p_hat)
-    return np.array(sup_dists), np.array(l2_dists), dists
+    return np.array(sup_dists), np.array(l2_dists), dists, lam2
 
 
 def _float_sup_floors(q: int, T: int, l2_dists: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -496,15 +497,53 @@ def test_audit_mode_validation():
         audit_privacy(FullDownloadScheme(), space, 2, 5, mode="exact")
 
 
-def _packed_key(file_key, nu: int) -> bytes:
-    """The batched tally's key for one of the base loop's index keys: each
-    run's index set as packed membership bits, sorted and concatenated."""
-    runs = []
-    for indexes in file_key:
-        bits = np.zeros(nu, dtype=bool)
-        bits[list(indexes)] = True
-        runs.append(np.packbits(bits).tobytes())
-    return b"".join(sorted(runs))
+def _packed_key(file_key, nu: int) -> tuple:
+    """The batched tally's key for one of the base loop's index keys, built
+    with Python integers: each run's index set as packed membership bits
+    (index j at bit 8w-1-j of a w = ceil(nu/8) byte field), the fields
+    sorted and concatenated into one integer, left-aligned in 64-bit words
+    listed most significant first."""
+    width = 8 * -(-nu // 8)
+    key = 0
+    for field in sorted(sum(1 << (width - 1 - j) for j in run) for run in file_key):
+        key = key << width | field
+    bits = width * len(file_key)
+    words = -(-bits // 64)
+    key <<= 64 * words - bits
+    return tuple(key >> (64 * (words - 1 - w)) & (2**64 - 1) for w in range(words))
+
+
+def _counter(channel) -> Counter:
+    """A (keys, counts) channel tally as a Counter with tuple keys (rows of
+    a 2-D key array become tuples), after checking that its keys ascend."""
+    keys, counts = channel
+    keys = [tuple(k) for k in keys.tolist()]
+    assert keys == sorted(set(keys))
+    assert counts.dtype == np.int64
+    return Counter(dict(zip(keys, counts.tolist())))
+
+
+def _packed_counter(ch, channel, nu: int) -> Counter:
+    """A base-loop channel tally as a Counter keyed like the batched tally."""
+    counter = _counter(channel)
+    if ch[0] == "indexes":
+        counter = Counter({_packed_key(k, nu): v for k, v in counter.items()})
+    return counter
+
+
+def _check_tally_against_loop(T, N, request, seed, samples, chunk):
+    space = VirtualFileSpace(T=T, q=2, nu=N**T)
+    sch = RepeatedPirScheme()
+    r_fast = np.random.default_rng(seed)
+    r_loop = np.random.default_rng(seed)
+    # a block of `chunk` samples, so the tally spans several chunks
+    with mock.patch.object(protocol, "_TALLY_BLOCK", chunk * len(request) * T * space.nu):
+        fast = sch.tally_statistics(space, N, request, r_fast, samples)
+    loop = RetrievalScheme.tally_statistics(sch, space, N, request, r_loop, samples)
+    assert list(fast) == list(loop)
+    for ch, channel in loop.items():
+        assert _counter(fast[ch]) == _packed_counter(ch, channel, space.nu), ch
+    assert r_fast.bit_generator.state == r_loop.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
@@ -517,22 +556,12 @@ def test_tally_statistics_matches_per_sample_loop(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     samples = data.draw(st.integers(1, 12 if N**T > 30 else 40), label="samples")
     chunk = data.draw(st.integers(1, samples), label="chunk")
-    space = VirtualFileSpace(T=T, q=2, nu=N**T)
-    sch = RepeatedPirScheme()
-    r_fast = np.random.default_rng(seed)
-    r_loop = np.random.default_rng(seed)
-    # a block of `chunk` samples, so the tally spans several chunks
-    with mock.patch.object(protocol, "_TALLY_BLOCK", chunk * P * T * space.nu):
-        fast = sch.tally_statistics(space, N, request, r_fast, samples)
-    loop = RetrievalScheme.tally_statistics(sch, space, N, request, r_loop, samples)
-    assert list(fast) == list(loop)
-    for ch, counter in loop.items():
-        if ch[0] == "indexes":
-            counter = Counter(
-                {_packed_key(k, space.nu): v for k, v in counter.items()}
-            )
-        assert fast[ch] == counter, ch
-    assert r_fast.bit_generator.state == r_loop.bit_generator.state
+    _check_tally_against_loop(T, N, request, seed, samples, chunk)
+
+
+def test_tally_statistics_matches_per_sample_loop_on_multiword_keys():
+    # nu = 81: each run mask spans two words and the P = 3 key five
+    _check_tally_against_loop(4, 3, (0, 1, 3), seed=5, samples=9, chunk=4)
 
 
 @pytest.mark.parametrize("name", ["leaky_index", "full_download"])
@@ -549,7 +578,7 @@ def test_deterministic_tally_matches_per_sample_loop(name):
             loop[("structure", n)][structure_key] += 1
             for f in range(space.T):
                 loop[("indexes", n, f)][file_keys[f]] += 1
-    assert tally == loop
+    assert {ch: _counter(channel) for ch, channel in tally.items()} == loop
 
 
 def test_deterministic_tally_rejects_a_varying_statistic():
@@ -578,6 +607,100 @@ def test_audits_name_the_leak_of_the_leaky_control():
     assert (worst["set1"], worst["set2"]) == ([0], [1])
     passing = audit_privacy(FullDownloadScheme(), space, 2, 1, mode="exact")
     assert passing.worst_test is None
+
+
+def _reference_chisquare(c1: Counter, c2: Counter, min_bucket: int = 10):
+    """The Counter-based two-sample chi-square that the array version
+    replaced, kept verbatim as its reference."""
+    # a total order, so the summation order never depends on hashing
+    cats = sorted(set(c1) | set(c2), key=lambda k: (-(c1[k] + c2[k]), k))
+    a, b = [], []
+    rest_a = rest_b = 0
+    for k in cats:
+        if c1[k] + c2[k] >= min_bucket:
+            a.append(c1[k])
+            b.append(c2[k])
+        else:
+            rest_a += c1[k]
+            rest_b += c2[k]
+    if rest_a + rest_b > 0:
+        a.append(rest_a)
+        b.append(rest_b)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if len(a) <= 1:
+        return 0.0, 0, 1.0
+    with np.errstate(invalid="ignore"):
+        terms = (a - b) ** 2 / (a + b)
+    stat = float(np.nansum(terms))
+    dof = len(a) - 1
+    pvalue = float(scipy.stats.chi2.sf(stat, dof))
+    return stat, dof, pvalue
+
+
+def _channel_arrays(counter: Counter, words: int, as_rows: bool) -> tuple:
+    """A Counter of word tuples as a channel tally: keys as uint64 rows or
+    as a 1-D object array of the tuples, in ascending order."""
+    items = sorted(counter.items())
+    counts = np.array([c for _, c in items], dtype=np.int64)
+    if as_rows:
+        keys = np.array([k for k, _ in items], dtype=np.uint64).reshape(len(items), words)
+    else:
+        keys = np.empty(len(items), dtype=object)
+        for i, (k, _) in enumerate(items):
+            keys[i] = k
+    return keys, counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_array_chisquare_matches_counter_reference(data):
+    words = data.draw(st.integers(1, 2), label="words")
+    # both sides draw from one pool, so keys are shared, one-sided or absent
+    word = st.integers(0, 2**64 - 1)
+    pool = data.draw(st.lists(st.tuples(*[word] * words), unique=True, max_size=30), label="pool")
+    # small counts make ties in the combined count common
+    count = st.one_of(st.integers(1, 12), st.integers(1, 400))
+    sides = []
+    for label in ("side1", "side2"):
+        keys = data.draw(st.lists(st.sampled_from(pool), unique=True), label=label) if pool else []
+        sides.append(Counter({k: data.draw(count, label=f"{label} count") for k in keys}))
+    as_rows = data.draw(st.booleans(), label="as_rows")
+    min_bucket = data.draw(st.sampled_from([1, 10, 50]), label="min_bucket")
+    tallies = [_channel_arrays(c, words, as_rows) for c in sides]
+    got = protocol._two_sample_chisquare(*tallies, min_bucket=min_bucket)
+    assert got == _reference_chisquare(*sides, min_bucket=min_bucket)
+    assert type(got[1]) is int
+
+
+class _ReferencePir(RepeatedPirScheme):
+    """repeated_pir tallied by the base per-sample loop, as Counters keyed
+    like the batched tally, for the reference chi-square."""
+
+    def tally_statistics(self, space, n_servers, request, rng, samples):
+        tally = RetrievalScheme.tally_statistics(self, space, n_servers, request, rng, samples)
+        return {ch: _packed_counter(ch, channel, space.nu) for ch, channel in tally.items()}
+
+
+@pytest.mark.parametrize("P", [1, 2])
+@pytest.mark.parametrize("seed", [5, 2027])
+def test_sampled_audit_matches_the_reference_pipeline(P, seed):
+    # the base loop draws about 6k samples/s, so 1,000 samples per request
+    # set (under MIN_AUDIT_SAMPLES) keep the four cases near 3 s
+    samples = 1_000
+    space = VirtualFileSpace(T=3, q=2, nu=8)
+    with mock.patch.object(protocol, "MIN_AUDIT_SAMPLES", samples):
+        fast = audit_privacy(
+            RepeatedPirScheme(), space, 2, P, mode="sampled", samples=samples, seed=seed
+        )
+        with mock.patch.object(protocol, "_two_sample_chisquare", _reference_chisquare):
+            ref = audit_privacy(
+                _ReferencePir(), space, 2, P, mode="sampled", samples=samples, seed=seed
+            )
+    assert fast.n_tests == ref.n_tests > 0
+    assert fast.tests == ref.tests
+    assert fast.min_pvalue == ref.min_pvalue
+    assert fast.worst_test == ref.worst_test
 
 
 def test_sampled_audit_json_is_independent_of_hash_seed():

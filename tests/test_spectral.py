@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pipret.fields import PairIndex, pair_count
 from pipret.spectral import (
+    EXACT_EVOLVE_LIMIT,
     ConvergenceTrace,
     DeltaDistribution,
     accumulate_increment,
@@ -346,9 +347,19 @@ def test_evolve_contraction_and_rate_fit():
         assert trace.exact
 
 
+@pytest.mark.parametrize("q, K", [(3, 2), (2, 3), (5, 3), (2, 5)])
+def test_trace_lambda2_is_the_spectrum_lambda2(q, K):
+    # exact traces take it from the spectrum, float ones from their own
+    # transform; both must give the spectrum's value bit for bit
+    d = delta_distribution(q, K)
+    trace = evolve(d, 3, store_distributions=False)
+    assert trace.exact == (q**d.T <= EXACT_EVOLVE_LIMIT)
+    assert trace.lambda2 == spectrum_via_characters(d).lambda2
+
+
 def test_evolve_float_path_agrees():
     d = delta_distribution(3, 2)
-    sup_f, l2_f, dists_f = _evolve_float(d, 12, True)
+    sup_f, l2_f, dists_f, _ = _evolve_float(d, 12, True)
     exact = evolve(d, 12)
     np.testing.assert_allclose(l2_f, exact.l2_dists, atol=1e-12)
     np.testing.assert_allclose(sup_f, exact.sup_dists, atol=1e-12)
@@ -362,7 +373,7 @@ def test_float_path_l2_is_parseval_exact():
     # stated rounding floor of the exact one
     for q, K in [(3, 2), (2, 3), (2, 4)]:
         d = delta_distribution(q, K)
-        sup_f, l2_f, _ = _evolve_float(d, 60, False)
+        sup_f, l2_f, _, _ = _evolve_float(d, 60, False)
         exact = evolve(d, 60, store_distributions=False)
         assert exact.exact
         assert not exact.sup_floors.any()
@@ -406,7 +417,7 @@ PAIRED_ATOL = 1e-14
 @pytest.mark.parametrize("q, K", [(5, 3), (2, 5)])
 def test_paired_float_path_matches_one_transform_per_step(q, K, L_max, store):
     d = delta_distribution(q, K)
-    sup, l2, dists = _evolve_float(d, L_max, store)
+    sup, l2, dists, _ = _evolve_float(d, L_max, store)
     ref_sup, ref_l2, ref_dists = _one_transform_per_step(d, L_max, store)
     assert len(sup) == len(l2) == L_max
     np.testing.assert_array_equal(l2, ref_l2)
