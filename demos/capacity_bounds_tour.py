@@ -62,9 +62,10 @@ print(f"  roots     : {np.round(rc.roots, 6)}")
 print(f"  betas     : {np.round(rc.coefficients, 6)} (Vandermonde inverse, closed form)")
 print(f"  residual  : {rc.max_residual:.2e} (defining equations)")
 frac = achievable_rate_fraction(bq)
-print(f"  fraction  : {frac.real:.6f} -> inverse rate {1 / frac.real:.6f}")
-print("  (the fraction itself is the rate, summed in closed form over the P")
-print("   roots of unity; its reciprocal is reported)")
+print(f"  fraction  : {frac} = {float(frac):.6f} -> inverse rate {1 / float(frac):.6f}")
+print("  (the fraction itself is the rate, an exact rational from two integer")
+print("   sums over the coefficients of (1 + y + ... + y^(P-1))^(K+1-P); its")
+print("   reciprocal is reported)")
 
 print()
 print("=" * 72)

@@ -6,9 +6,10 @@ retrieving P messages out of K_msg from N replicated servers:
 * the converse-side expression (floor/fraction geometric sum for
   K_msg/P >= 2, the shared linear form below that), and
 * the achievability-side expression built from the complex roots r_i and
-  coefficients beta_i, both in closed form: beta_i from the inverse of a
-  Vandermonde system, the rate from two P-term sums.  An LU solve of the
-  system is the oracle for both in the tests.
+  coefficients beta_i.  beta_i comes in closed form from the inverse of a
+  Vandermonde system; the rate it defines is an exact rational, a ratio of
+  two integer sums.  An LU solve of the system is the oracle for both in
+  the tests.
 
 On top of those, ``theorem1_bounds`` produces the bracket for the capacity
 of inner-product retrieval with K files (K_msg = K(K+1)/2 virtual messages)
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -159,28 +161,43 @@ def solve_root_coefficients(bq: BoundQuery) -> RootCoefficients:
     )
 
 
-def achievable_rate_fraction(bq: BoundQuery) -> complex:
-    """The displayed beta/r fraction (returns the rate), in closed form.
+def achievable_rate_fraction(bq: BoundQuery) -> Fraction:
+    """The displayed beta/r fraction (returns the rate), as an exact rational.
 
-    With 1 + 1/r_i = rho * conj(w_i) and conj(w_i)**P = 1, the fraction
-    collapses to (N-1) rho**(K-P) S1 / (rho**K S1 - S0), where
-    S1 = sum_i conj(w_i)**(K+1) x_i**(P-K-1) and
-    S0 = sum_i conj(w_i) x_i**(P-K-1), x_i = 1/r_i; no beta is needed.  Evaluated in
-    extended precision: the sums cancel in double precision once K grows.
+    With u_i = conj(w_i), rho = N**(1/P) and m = K+1-P the fraction is
+    (N-1) rho**(K-P) S1 / (rho**K S1 - S0), where S1 = sum_i u_i**(K+1) t_i,
+    S0 = sum_i u_i t_i and t_i = (rho u_i - 1)**(-m); no beta is needed.
+    Expand t = sum_j C(m-1+j, j) (rho u)**(-m-j).  As u**P = 1, term j of S1
+    carries sum_i u_i**(P-j), which is P when j = 0 mod P and 0 otherwise;
+    in S0 it carries sum_i u_i**(P-K-j), which keeps j = -K mod P.  Next,
+    sum_j C(m-1+j, j) x**j = (1 + x + ... + x**(P-1))**m (1 - x**P)**(-m),
+    and the last factor is a series in x**P: the terms with j in one class
+    mod P are the class's terms c_k x**k of the first factor times the last,
+    which is (1 - 1/N)**(-m) at x = 1/rho.  So with c_k the coefficients of
+    (1 + y + ... + y**(P-1))**m and j0 = -K mod P,
+    S1 = P rho**(-m) (1-1/N)**(-m) A and S0 = P rho**(-m-j0) (1-1/N)**(-m) B,
+    A = sum_(k = 0 mod P) c_k N**(-k/P), B = sum_(k = j0 mod P) c_k
+    N**(-(k-j0)/P).  The common factor cancels and K + j0 = P e with
+    e = ceil(K/P), so rate = (N-1) N**(e-1) A / (N**e A - B).  Every exponent
+    is an integer; A and B are scaled by one power of N into integers.
     """
     K, P, N = bq.K_msg, bq.P, bq.N
     if N < 2:
         raise ValueError("rate fraction requires N >= 2")
-    with _MP_LOCK, mp.workdps(_working_dps(K)):
-        rho = mp.root(N, P)
-        s1 = s0 = mp.mpc(0)
-        for i in range(P):
-            wbar = mp.expjpi(mp.mpf(-2 * i) / P)
-            t = (rho * wbar - 1) ** (P - K - 1)
-            s1 += wbar ** (K + 1) * t
-            s0 += wbar * t
-        rate = (N - 1) * rho ** (K - P) * s1 / (rho**K * s1 - s0)
-        return complex(rate)
+    m, e, j0 = K + 1 - P, -(-K // P), -K % P
+    deg = m * (P - 1)  # the degree of (1 + y + ... + y**(P-1))**m
+    # the c_k as b-bit fields of (1 + 2**b + ... + 2**(b(P-1)))**m; every
+    # c_k is at most P**m < 2**b, so no field carries into the next
+    b = m * P.bit_length()
+    mask = (1 << b) - 1
+    packed = (((1 << P * b) - 1) // mask) ** m
+
+    def section(r):  # A (r = 0) or B (r = j0), times N**(deg // P)
+        terms = range(r, deg + 1, P)
+        return sum(((packed >> k * b) & mask) * N ** ((deg - k + r) // P) for k in terms)
+
+    A, B = section(0), section(j0)
+    return Fraction((N - 1) * N ** (e - 1) * A, N**e * A - B)
 
 
 def inverse_rate_achievable(bq: BoundQuery) -> float:
@@ -188,25 +205,16 @@ def inverse_rate_achievable(bq: BoundQuery) -> float:
 
     With N = 1 the single server must ship everything, so this is K/P,
     equal to the converse.  For K/P < 2 it equals the shared closed form
-    1 + (K-P)/(PN); for K/P >= 2 the beta/r fraction is evaluated
-    independently and its reciprocal returned (at K/P = 2 exactly, both
-    paths agree to 1e-9, which the tests assert).
+    1 + (K-P)/(PN); for K/P >= 2 it is the reciprocal of the exact rate
+    fraction (at K/P = 2 that reciprocal is 1 + 1/N exactly, the converse
+    value, which the tests assert).
     """
-    return _achievable_with_fraction(bq)[0]
-
-
-def _achievable_with_fraction(bq: BoundQuery) -> tuple[float, complex | None]:
-    """``inverse_rate_achievable`` together with the rate fraction it
-    inverted (None when no fraction was evaluated)."""
     K, P, N = bq.K_msg, bq.P, bq.N
     if N == 1:
-        return K / P, None
+        return K / P
     if K / P < 2:
-        return 1.0 + (K - P) / (P * N), None
-    rate = achievable_rate_fraction(bq)
-    if abs(rate.imag) >= RESIDUAL_TOL:
-        raise ArithmeticError(f"imaginary residue {rate.imag:.3e} in rate fraction")
-    return 1.0 / rate.real, rate
+        return 1.0 + (K - P) / (P * N)
+    return 1.0 / float(achievable_rate_fraction(bq))
 
 
 def theorem1_bounds(
@@ -251,8 +259,10 @@ def corollary_limits(K_files: int, P: int, N: int) -> float | None:
 
     Returns 1 + (K(K+1) - 2P)/(2PN) when K(K+1)/(2P) <= 2, the plain
     geometric sum when K(K+1)/(2P) is an integer, and None otherwise.
+    Raises ValueError where ``BoundQuery`` does (P outside [1, K(K+1)/2],
+    N < 1).
     """
-    K_msg = K_files * (K_files + 1) // 2
+    BoundQuery(K_files * (K_files + 1) // 2, P, N)  # validates P and N
     num, den = K_files * (K_files + 1), 2 * P
     if num <= 2 * den:
         return 1.0 + (num - den) / (den * N)
@@ -280,10 +290,9 @@ def capacity_grid(
                 continue
             for N in N_list:
                 bq = BoundQuery(K_msg, P, N)
-                if verbose:
-                    achievable, frac = _achievable_with_fraction(bq)
-                else:
-                    achievable = inverse_rate_achievable(bq)
+                with_fraction = verbose and N >= 2 and K_msg >= 2 * P
+                frac = float(achievable_rate_fraction(bq)) if with_fraction else None
+                achievable = 1.0 / frac if with_fraction else inverse_rate_achievable(bq)
                 row = {
                     "K_files": K_files,
                     "K_msg": K_msg,
@@ -294,15 +303,11 @@ def capacity_grid(
                     "limit": corollary_limits(K_files, P, N),
                 }
                 if verbose:
-                    if frac is not None:
-                        rc = solve_root_coefficients(bq)
-                        row["rate_fraction_as_printed"] = frac.real
-                        row["rate_fraction_reciprocal"] = 1.0 / frac.real
-                        row["beta_residual"] = rc.max_residual
-                    else:
-                        row["rate_fraction_as_printed"] = None
-                        row["rate_fraction_reciprocal"] = None
-                        row["beta_residual"] = None
+                    row["rate_fraction_as_printed"] = frac
+                    row["rate_fraction_reciprocal"] = achievable if with_fraction else None
+                    row["beta_residual"] = (
+                        solve_root_coefficients(bq).max_residual if with_fraction else None
+                    )
                 rows.append(row)
     return rows
 
@@ -310,11 +315,6 @@ def capacity_grid(
 def single_message_inverse_rate(K_msg: int, N: int) -> float:
     """Independent P = 1 oracle: the geometric sum 1 + 1/N + ... + N**-(K-1)."""
     return float(sum(N ** float(-i) for i in range(K_msg)))
-
-
-def mpir_tightness_gap(bq: BoundQuery) -> float:
-    """Achievable minus converse inverse rate (nonnegative up to rounding)."""
-    return inverse_rate_achievable(bq) - inverse_rate_converse(bq)
 
 
 __all__ = [
@@ -329,5 +329,4 @@ __all__ = [
     "corollary_limits",
     "capacity_grid",
     "single_message_inverse_rate",
-    "mpir_tightness_gap",
 ]

@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -17,7 +18,6 @@ from pipret.bounds import (
     corollary_limits,
     inverse_rate_achievable,
     inverse_rate_converse,
-    mpir_tightness_gap,
     single_message_inverse_rate,
     solve_root_coefficients,
     theorem1_bounds,
@@ -80,9 +80,21 @@ def test_achievable_at_one_server_is_full_download():
 
 def test_rate_fraction_orientation():
     # the displayed fraction evaluates to the known single-message rate 2/3
-    frac = achievable_rate_fraction(BoundQuery(2, 1, 2))
-    assert frac.real == pytest.approx(2 / 3, abs=1e-12)
-    assert abs(frac.imag) < 1e-12
+    assert achievable_rate_fraction(BoundQuery(2, 1, 2)) == Fraction(2, 3)
+
+
+def test_rate_fraction_pinned_values():
+    assert achievable_rate_fraction(BoundQuery(5, 2, 2)) == Fraction(17, 28)
+    assert achievable_rate_fraction(BoundQuery(6, 2, 2)) == Fraction(4, 7)
+    assert achievable_rate_fraction(BoundQuery(15, 4, 3)) == Fraction(9052677, 13358386)
+
+
+def test_rate_fraction_single_message_is_geometric_sum():
+    # P = 1: the rate is exactly the inverse of 1 + 1/N + ... + N**-(K-1)
+    for K in range(1, 13):
+        for N in range(2, 9):
+            want = sum(Fraction(1, N**i) for i in range(K))
+            assert 1 / achievable_rate_fraction(BoundQuery(K, 1, N)) == want
 
 
 def test_single_message_reduction_grid():
@@ -96,7 +108,10 @@ def test_single_message_reduction_grid():
 def test_tightness_at_ratio_two():
     for P in range(1, 6):
         for N in range(2, 7):
-            assert abs(mpir_tightness_gap(BoundQuery(2 * P, P, N))) < 1e-9
+            # at K/P = 2 the exact achievable inverse rate is the converse 1 + 1/N
+            bq = BoundQuery(2 * P, P, N)
+            assert 1 / achievable_rate_fraction(bq) == 1 + Fraction(1, N)
+            assert inverse_rate_converse(bq) == pytest.approx(1 + 1 / N, abs=1e-12)
 
 
 def test_achievable_never_beats_converse_grid():
@@ -139,19 +154,20 @@ def test_closed_forms_match_lu_oracle(data):
     K = data.draw(st.integers(1, 20), label="K")
     P = data.draw(st.integers(1, min(K, 10)), label="P")
     N = data.draw(st.integers(2, 8), label="N")
+    bq = BoundQuery(K, P, N)
+    rate = achievable_rate_fraction(bq)
     with mp.workdps(_working_dps(K)):
         beta_lu, rate_lu = _lu_oracle(K, P, N)
         _, beta = _closed_form_system(K, P, N)
         for b, b_lu in zip(beta, beta_lu):
             assert abs(b - b_lu) <= 1e-30 * abs(b_lu)
-    bq = BoundQuery(K, P, N)
+        exact = mp.mpf(rate.numerator) / rate.denominator
+        assert abs(rate_lu - exact) <= 1e-30 * abs(exact)
     np.testing.assert_allclose(
         solve_root_coefficients(bq).coefficients,
         [complex(b) for b in beta_lu],
         rtol=1e-15,
     )
-    rate = achievable_rate_fraction(bq)
-    assert abs(rate - complex(rate_lu)) <= 1e-12 * abs(complex(rate_lu))
 
 
 def test_beta_residuals_grid():
@@ -196,6 +212,14 @@ def test_corollary_limits_examples():
     assert corollary_limits(3, 2, 2) == pytest.approx(1.75, abs=1e-12)
     # ratio 10/4 = 2.5 is above two and fractional: bounds do not collapse
     assert corollary_limits(4, 4, 2) is None
+
+
+def test_corollary_limits_validation():
+    # P > K(K+1)/2 would give an inverse capacity below 1; P = 0 and N = 0
+    # would divide by zero
+    for K_files, P, N in ((2, 5, 2), (2, 0, 2), (2, 2, 0)):
+        with pytest.raises(ValueError):
+            corollary_limits(K_files, P, N)
 
 
 def test_corollary_matches_theorem_when_collapsed():
