@@ -56,6 +56,8 @@ from .protocol import (
 )
 from .spectral import (
     DeltaDistribution,
+    class_chain,
+    class_trace,
     delta_distribution,
     evolve,
     is_irreducible,

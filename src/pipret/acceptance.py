@@ -88,10 +88,16 @@ def criterion_convergence(master_seed: int) -> dict:
     for q, K in [(2, 2), (3, 2)]:
         d = spectral.delta_distribution(q, K)
         lam2 = spectral.spectrum_via_characters(d).lambda2
-        trace = spectral.evolve(d, 30, store_distributions=False)
+        trace = spectral.class_trace(q, K, 30)
+        # the per-state walk is the oracle for the lumped one
+        per_state = spectral.evolve(d, 30, store_distributions=False)
+        same_rows = np.array_equal(trace.sup_dists, per_state.sup_dists) and np.array_equal(
+            trace.l2_dists, per_state.l2_dists
+        )
         ratios = trace.l2_dists[1:] / trace.l2_dists[:-1]
         contracts = bool(np.all(ratios <= lam2 + 1e-9))
         rate_ok = abs(trace.fitted_rate - lam2) <= 0.05 * lam2
+        checks.append((f"class chain rows equal per-state rows at (q={q},K={K})", same_rows))
         checks.append((f"l2 contraction at (q={q},K={K})", contracts))
         checks.append((f"fitted rate within 5% at (q={q},K={K})", rate_ok))
         details[f"q{q}K{K}"] = {

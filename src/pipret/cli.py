@@ -142,7 +142,7 @@ def cmd_spectrum(params: dict, master_seed: int):
 def cmd_converge(params: dict, master_seed: int):
     q, K = int(params["q"]), int(params["K"])
     L_max = int(params.get("Lmax", 30))
-    trace = spectral.evolve(spectral.delta_distribution(q, K), L_max, store_distributions=False)
+    trace = spectral.class_trace(q, K, L_max)
     rows = [
         {
             "L": L,

@@ -13,22 +13,36 @@ convolution operator on the group and its full spectrum is the multi-
 dimensional discrete Fourier transform of the increment distribution: an
 O(q^T log q^T) computation instead of an O(q^(3T)) eigendecomposition.
 Irreducibility and strict positivity of M^(5T) are decided by the same
-transform, as Fourier-domain convolutions of level-set indicators; those
-indicators are real, so the walk uses real-input transforms over the half
-spectrum.  The dense matrix path is retained purely as a brute-force oracle
-for tests and acceptance.
+transform, as Fourier-domain convolutions of level-set indicators:
+real-input transforms over the half spectrum for odd q, and for q = 2 the
+Walsh-Hadamard transform in integers.  The dense matrix path is retained
+purely as a brute-force oracle for tests and acceptance.
 
-Evolution of the walk is carried out in exact integer arithmetic whenever
-the state space allows: the distribution after L steps is a vector of
-counts over q^(K*L), so per-step contraction ratios can be measured at the
-1e-9 tolerance the verification suite demands, which double-precision
-convolution cannot guarantee beyond L ~ 25.  Beyond that range the
-distributions come from inverse transforms of the powers of the increment
-spectrum.  Every distribution is real, so one complex inverse transform of
+The distances to uniform that ``converge`` reports come from the walk
+lumped onto congruence classes.  The table is a symmetric K x K matrix S
+and a column x moves it to S + x x^T.  For A in GL_K(F(q)), x -> A^T x is
+a bijection of the columns, so the walk commutes with S -> A^T S A, and
+its start, the zero table, is fixed; the law after any number of steps is
+therefore constant on congruence classes, and the walk is strongly
+lumpable onto them (Kemeny and Snell, Finite Markov Chains, 1960).  The
+classes are the rank and the square class of the discriminant of the
+nondegenerate part for odd q, 2K + 1 of them, and the rank and whether
+the matrix is alternating for q = 2, 1 + K + floor(K/2) of them
+(MacWilliams, "Orthogonal matrices over finite fields", Amer. Math.
+Monthly 76, 1969, which also counts them).  ``class_trace`` evolves the
+class masses in integers, so every row is exact at every size and every
+length, for a handful of big-integer products per step.
+
+``evolve`` keeps the per-state laws, which subset entropies need, and is
+the reference for the class chain.  It is exact in integers while
+q^T <= EXACT_EVOLVE_LIMIT and L_max <= 200: the distribution after L steps
+is a vector of counts over q^(K*L).  Beyond that the distributions come
+from inverse transforms of the powers of the increment spectrum.  Every
+distribution is real, so one complex inverse transform of
 p_hat_L + i*p_hat_(L+1) yields p_L as its real part and p_(L+1) as its
 imaginary part, two steps per transform; each row carries a rounding
-bound on its sup distance.  The l2 distance comes from Parseval over the
-character spectrum, l2(L)^2 = (1/n) sum_(chi != 0) |lambda_chi|^(2L),
+bound on its sup distance.  The float l2 distance comes from Parseval over
+the character spectrum, l2(L)^2 = (1/n) sum_(chi != 0) |lambda_chi|^(2L),
 which carries no convolution rounding noise.
 """
 
@@ -194,13 +208,36 @@ class IrreducibilityReport:
     gamma_all_positive: bool
 
 
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform of a length-2**T vector, the
+    group transform of F(2)^T, exact in integer arithmetic.
+
+    Constant-geometry butterfly: each pass writes the sums of adjacent
+    pairs to the first half and their differences to the second, which
+    transforms the lowest index bit and rotates it to the top; after T
+    passes every bit is transformed and back in place.
+    """
+    half = a.size // 2
+    a, out = a.copy(), np.empty_like(a)
+    for _ in range(half.bit_length()):
+        pairs = a.reshape(-1, 2)
+        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
+        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
+        a, out = out, a
+    return a
+
+
 def is_irreducible(d: DeltaDistribution) -> IrreducibilityReport:
     """Level sets S_0 = {0}, S_k = S_(k-1) + support of the walk in F(q)^T.
 
     Each step convolves the 0/1 indicator of S_(k-1) with that of the
-    support over the group by real-input FFT (``rfftn``/``irfftn`` over all
-    T axes in one call); the convolution counts representations,
-    integers in [0, |support|], so it is rounded, and ArithmeticError is
+    support over the group; the convolution counts representations,
+    integers in [0, |support|].  For q = 2 the group transform is the
+    Walsh-Hadamard butterfly in int64: transforms of 0/1 vectors are at
+    most n in modulus, so the product's transform, n times the counts,
+    stays below n**3 <= 2**60 within the enumeration guard and is exact.
+    For odd q it is the real-input FFT (``rfftn``/``irfftn`` over all T
+    axes in one call), whose output is rounded, and ArithmeticError is
     raised if any entry lies 0.25 or more from an integer.  The walk stops
     once a level set is the whole group (G + s = G keeps it full), or once
     k >= gamma and the union of the level sets has stopped growing.
@@ -214,18 +251,31 @@ def is_irreducible(d: DeltaDistribution) -> IrreducibilityReport:
     shape = (q,) * T
     n = q**T
     gamma = 5 * T
-    support_hat = scipy.fft.rfftn((d.counts > 0).reshape(shape).astype(float))
-    level = np.zeros(shape, dtype=bool)
-    level.flat[0] = True
+    support = d.counts > 0
+    if q == 2:
+        support_hat = _walsh_hadamard(support.astype(np.int64))
+
+        def step(level, k):
+            return _walsh_hadamard(_walsh_hadamard(level.astype(np.int64)) * support_hat) > 0
+    else:
+        support_hat = scipy.fft.rfftn(support.reshape(shape).astype(float))
+
+        def step(level, k):
+            conv = scipy.fft.irfftn(
+                scipy.fft.rfftn(level.reshape(shape).astype(float)) * support_hat, s=shape
+            )
+            counts = np.rint(conv)
+            if np.abs(conv - counts).max() >= 0.25:
+                raise ArithmeticError(f"level-set convolution off the integers at step {k}")
+            return counts.ravel() > 0
+
+    level = np.zeros(n, dtype=bool)
+    level[0] = True
     union = level.copy()
     k, grown = 0, True
     while not level.all() and (k < gamma or grown):
-        conv = scipy.fft.irfftn(scipy.fft.rfftn(level.astype(float)) * support_hat, s=shape)
-        counts = np.rint(conv)
-        if np.abs(conv - counts).max() >= 0.25:
-            raise ArithmeticError(f"level-set convolution off the integers at step {k + 1}")
-        level = counts > 0
         k += 1
+        level = step(level, k)
         grown = bool((level & ~union).any())
         union |= level
     reached = int(union.sum())
@@ -316,14 +366,20 @@ class ConvergenceTrace:
     """Distances to uniform along the walk, plus a geometric fit.
 
     ``sup_dists[L-1]`` and ``l2_dists[L-1]`` are the distances of the
-    length-L table distribution from uniform.  ``sup_floors[L-1]`` bounds
-    the rounding error of ``sup_dists[L-1]``: 0 on an exact trace, the
-    bound derived in ``_float_sup_floors`` on a float one, so a sup
-    distance at or below its floor is rounding noise.  The fit models
-    l2_dist(L) ~ c * rate**(L-1) by least squares on the log distances
-    over the last half of the trace.  ``lambda2`` is the second largest
-    eigenvalue modulus, the value ``spectrum_via_characters`` reports,
-    taken from the float path's own transform.
+    length-L table distribution from uniform.  ``class_trace`` computes
+    them exactly on the congruence classes of the table: the law is
+    constant on each class because the walk commutes with congruence and
+    starts from the zero table, so a class's mass over its size is every
+    member's probability (see the module docstring for the lumpability
+    argument and the classification).  ``evolve`` computes them per state.
+    ``sup_floors[L-1]`` bounds the rounding error of ``sup_dists[L-1]``: 0
+    on an exact trace, the bound derived in ``_float_sup_floors`` on a
+    float one, so a sup distance at or below its floor is rounding noise.
+    The fit models l2_dist(L) ~ c * rate**(L-1) by least squares on the
+    log distances over the last half of the trace.  ``lambda2`` is the
+    second largest eigenvalue modulus, the value
+    ``spectrum_via_characters`` reports (on a float trace, taken from the
+    float path's own transform).
     """
 
     q: int
@@ -407,10 +463,9 @@ def _evolve_exact(d: DeltaDistribution, L_max: int, store: bool):
             num = new
             denom *= step
         dev = np.abs(num * n - denom)
-        scale = denom * n
-        sup_dists.append(float(Fraction(int(dev.max()), scale)))
-        sumsq = int(np.sum(dev * dev))
-        l2_dists.append(math.sqrt(float(Fraction(sumsq, scale * scale))))
+        sup, l2 = _exact_distances(int(dev.max()), int(np.sum(dev * dev)), denom * n)
+        sup_dists.append(sup)
+        l2_dists.append(l2)
         if store:
             dists.append(np.array([v / denom for v in num.tolist()], dtype=float))
     return np.array(sup_dists), np.array(l2_dists), dists
@@ -508,6 +563,21 @@ def _float_sup_floors(q: int, T: int, l2_dists: np.ndarray) -> np.ndarray:
     return 2 * (forward + powers + inverse)
 
 
+def _exact_distances(max_dev: int, sumsq: int, scale: int) -> tuple[float, float]:
+    """sup = max_dev/scale and l2 = sqrt(sumsq)/scale as doubles.
+
+    Integer true division rounds correctly, into the subnormal range too,
+    so the sup distance is the correctly rounded ratio.  sumsq/scale**2
+    underflows long before l2 does (at (7,3) beyond L ~ 365), so it is
+    scaled by 4**m into [1/4, 4] before the conversion and its root scaled
+    back by 2**-m.  Both scalings are exact, so wherever sumsq/scale**2 is
+    a normal double the result is bit-identical to the unscaled
+    sqrt(float(sumsq/scale**2)).
+    """
+    m = max(0, (2 * scale.bit_length() - sumsq.bit_length()) // 2)
+    return max_dev / scale, math.ldexp(math.sqrt((sumsq << 2 * m) / (scale * scale)), -m)
+
+
 def _fit_geometric(l2_dists: np.ndarray) -> tuple[float, float]:
     L_max = len(l2_dists)
     xs = np.arange(1, L_max + 1)
@@ -517,6 +587,177 @@ def _fit_geometric(l2_dists: np.ndarray) -> tuple[float, float]:
         return 0.0, float(l2_dists[0])
     slope, intercept = np.polyfit(xs[mask] - 1, np.log(l2_dists[mask]), 1)
     return float(np.exp(slope)), float(np.exp(intercept))
+
+
+# --- congruence classes -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ClassChain:
+    """The table walk lumped onto the congruence classes of the table.
+
+    ``labels[a]`` is (rank, kind).  For odd q, kind is '+' or '-', the
+    square class of the discriminant of the nondegenerate part ('+' at
+    rank 0); for q = 2 it is 'a' for an alternating matrix (zero diagonal)
+    and 'n' otherwise.  Class 0 is the zero table.  ``counts[a, b]`` is the
+    number of columns x in F(q)^K that move a table of class a into class
+    b, the same for every table of class a, so every row sums to q**K.
+    ``sizes[a]`` is the number of tables in class a.
+    """
+
+    q: int
+    K: int
+    labels: tuple[tuple[int, str], ...]
+    counts: np.ndarray
+    sizes: tuple[int, ...]
+
+
+def class_chain(q: int, K: int) -> ClassChain:
+    """Congruence classes of the table, their transition counts and sizes.
+
+    The table is a symmetric K x K matrix S over F(q), and a column x moves
+    it to S + x x^T.  Class a is represented by S = B (+) 0 with B an r x r
+    nondegenerate block: diag(1, ..., 1, nu) for odd q, nu = 1 for '+' and
+    the least nonsquare for '-'; I_r ('n') or r/2 copies of
+    H = [[0, 1], [1, 0]] ('a') for q = 2.  Split x = (y, z) after r
+    coordinates.
+    - z != 0: v -> (v_1..v_r, x.v, ...) is a change of basis taking
+      S + x x^T to B (+) (1) (+) 0, of rank r + 1 and discriminant disc(B).
+    - z = 0: S + x x^T = (B + y y^T) (+) 0 and
+      det(B + y y^T) = det(B) * s, s = 1 + y^T B^-1 y.  If s != 0 the rank
+      stays r and the discriminant becomes disc(B) * s.  If s = 0 the rank
+      drops to r - 1: w = B^-1 y spans the radical, B(w, w) = -1, and on
+      w's B-orthogonal complement y^perp the two forms agree, so the new
+      discriminant is -disc(B).
+    For q = 2 the diagonal of S + x x^T is diag(S) + x, since x_i**2 = x_i,
+    so the new table is alternating iff x = diag(S).
+
+    The sizes are n * pi for the class chain's stationary law pi, the image
+    of the uniform law, solved over the rationals; ArithmeticError is
+    raised if one is not a positive integer.  Raises ValueError for a
+    non-prime q or q^T beyond the enumeration guard.
+    """
+    if not is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
+    _, n = _state_count(q, K)
+    if q == 2:
+        labels = sorted([(0, "a")] + [(r, "n") for r in range(1, K + 1)]
+                        + [(r, "a") for r in range(2, K + 1, 2)])
+    else:
+        labels = [(0, "+")] + [(r, kind) for r in range(1, K + 1) for kind in "+-"]
+    # class index by (rank, kind is '+' or 'a'); -1 marks no class
+    lookup = np.full((K + 2, 2), -1, dtype=np.int64)
+    for a, (r, kind) in enumerate(labels):
+        lookup[r, int(kind in "+a")] = a
+    x = np.indices((q,) * K).reshape(K, -1).astype(np.int64)
+    square = np.zeros(q, dtype=bool)
+    square[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
+    nu = next((v for v in range(2, q) if not square[v]), 1)
+    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for a, (r, kind) in enumerate(labels):
+        # B^-1: H and I_r are their own inverses, diag(.., nu) has diag(.., nu^-1)
+        if kind == "a" and r:
+            inv = np.kron(np.eye(r // 2, dtype=np.int64), [[0, 1], [1, 0]])
+        else:
+            inv = np.eye(r, dtype=np.int64)
+            if kind == "-":
+                inv[-1, -1] = pow(nu, -1, q)
+        y = x[:r]
+        s = (1 + (y * (inv @ y % q)).sum(axis=0)) % q
+        grows = x[r:].any(axis=0)
+        rank = np.where(grows, r + 1, np.where(s != 0, r, r - 1))
+        if q == 2:
+            diag = np.zeros(K, dtype=np.int64)
+            diag[:r] = kind == "n"
+            top = (x == diag[:, None]).all(axis=0)
+        else:
+            # the new discriminant's square class: disc(B), disc(B)*s or -disc(B)
+            factor = np.where(grows, True, np.where(s != 0, square[s], square[q - 1]))
+            top = (factor == (kind == "+")) | (rank == 0)
+        counts[a] = np.bincount(lookup[rank, top.astype(np.int64)], minlength=len(labels))
+    return ClassChain(q=q, K=K, labels=tuple(labels), counts=counts,
+                      sizes=_stationary_sizes(counts, n))
+
+
+def _stationary_sizes(counts: np.ndarray, n: int) -> tuple[int, ...]:
+    """n * pi for the law pi with pi @ counts = q**K * pi, over Fractions.
+
+    The rows of ``counts`` sum to q**K, so one balance equation is implied
+    by the others; the last one is replaced by sum(n * pi) = n.
+    """
+    m = len(counts)
+    step = int(counts[0].sum())
+    rows = [
+        [Fraction(int(counts[a, b]) - step * (a == b)) for a in range(m)] + [Fraction(0)]
+        for b in range(m - 1)
+    ]
+    rows.append([Fraction(1)] * m + [Fraction(n)])
+    for c in range(m):
+        p = next(r for r in range(c, m) if rows[r][c])
+        rows[c], rows[p] = rows[p], [v / rows[p][c] for v in rows[p]]
+        for r in range(m):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    sizes = [row[-1] for row in rows]
+    if any(s.denominator != 1 or s <= 0 for s in sizes):
+        raise ArithmeticError(f"class sizes {sizes} are not positive integers")
+    return tuple(int(s) for s in sizes)
+
+
+def class_trace(q: int, K: int, L_max: int) -> ConvergenceTrace:
+    """Exact distances to uniform along the walk, evolved on the classes.
+
+    The class masses after L columns, as integers over q**(K*L), evolve by
+    ``class_chain(q, K).counts``; the law is constant on each class, so a
+    table's numerator is its class mass over the class size, a division
+    checked to be exact (ArithmeticError otherwise).  The distances are
+    formed from exact integers as in the exact per-state path, so the rows
+    equal its rows bit for bit wherever it runs, and stay exact at every
+    size and L_max beyond it.  ``sup_floors`` are 0, ``distributions`` is
+    None and ``lambda2`` is the one ``spectrum_via_characters`` reports.
+    Raises the ValueErrors of ``delta_distribution`` and ``evolve``.
+    """
+    d = delta_distribution(q, K)
+    if not 1 <= L_max <= MAX_TRACE_LENGTH:
+        raise ValueError(f"L_max must lie in [1, {MAX_TRACE_LENGTH}]")
+    chain = class_chain(q, K)
+    n = q**d.T
+    step = q**K
+    into = [[(a, int(w)) for a, w in enumerate(col) if w] for col in chain.counts.T]
+    mass = [int(w) for w in chain.counts[0]]
+    denom = step
+    sup_dists, l2_dists = [], []
+    for L in range(1, L_max + 1):
+        if L > 1:
+            mass = [sum(mass[a] * w for a, w in col) for col in into]
+            denom *= step
+        max_dev = sumsq = 0
+        for c, size in zip(mass, chain.sizes):
+            num, rem = divmod(c, size)
+            if rem:
+                raise ArithmeticError(f"class mass {c} not divisible by class size {size}")
+            dev = abs(num * n - denom)
+            max_dev = max(max_dev, dev)
+            sumsq += size * dev * dev
+        sup, l2 = _exact_distances(max_dev, sumsq, denom * n)
+        sup_dists.append(sup)
+        l2_dists.append(l2)
+    l2 = np.array(l2_dists)
+    rate, const = _fit_geometric(l2)
+    return ConvergenceTrace(
+        q=q,
+        K=K,
+        L_max=L_max,
+        sup_dists=np.array(sup_dists),
+        sup_floors=np.zeros(L_max),
+        l2_dists=l2,
+        fitted_rate=rate,
+        fitted_constant=const,
+        distributions=None,
+        exact=True,
+        lambda2=spectrum_via_characters(d).lambda2,
+    )
 
 
 def envelope_constant(values, rate: float, fit_window: int | None = None) -> float:
@@ -601,6 +842,9 @@ __all__ = [
     "reachability_witness",
     "ConvergenceTrace",
     "evolve",
+    "ClassChain",
+    "class_chain",
+    "class_trace",
     "envelope_constant",
     "EntropyResult",
     "subset_entropy",

@@ -419,3 +419,13 @@ def test_reproduce_prints_runtime_against_limit(monkeypatch, tmp_path, capsys):
     assert "[PASS] criterion 10: determinism\n" in err
     text = out_path.read_text()
     assert "runtime_s" not in text and "s of 60" not in text
+
+
+def test_converge_rows_are_exact_beyond_the_per_state_limit(capsys):
+    # 5^6 = 15625 tables, past the per-state exact limit; the class chain
+    # evolves 7 congruence classes exactly
+    code, out, _ = _run(["converge", "--q", "5", "--K", "3", "--Lmax", "5"], capsys)
+    assert code == EXIT_OK
+    lines = out.strip().splitlines()
+    assert len(lines) == 6
+    assert all(line.endswith(",True,0.0") for line in lines[1:])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,13 @@ from hypothesis import strategies as st
 
 from pipret.fields import PairIndex, pair_count
 from pipret.spectral import (
+    ENUMERATION_LIMIT,
     EXACT_EVOLVE_LIMIT,
     ConvergenceTrace,
     DeltaDistribution,
     accumulate_increment,
+    class_chain,
+    class_trace,
     delta_distribution,
     entropy_deficit_bits,
     envelope_constant,
@@ -28,6 +32,7 @@ from pipret.spectral import (  # float fallback cross-checks
     _evolve_float,
     _float_sup_floors,
     _increment_transform,
+    _walsh_hadamard,
 )
 
 
@@ -250,10 +255,11 @@ def test_irreducibility_matches_dense_oracle_on_planted_laws(data):
 
 
 def test_irreducibility_rejects_off_integer_convolution(monkeypatch):
+    # odd q: q = 2 convolves by the integer Walsh-Hadamard butterfly
     irfftn = scipy.fft.irfftn
     monkeypatch.setattr(scipy.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + 0.3)
     with pytest.raises(ArithmeticError):
-        is_irreducible(delta_distribution(2, 2))
+        is_irreducible(delta_distribution(3, 2))
 
 
 def test_matrix_power_positivity():
@@ -522,3 +528,177 @@ def test_trace_is_dataclass_with_fit_fields():
     assert isinstance(trace, ConvergenceTrace)
     assert trace.fitted_constant > 0
     assert 0 < trace.fitted_rate < 1
+
+
+def test_walsh_hadamard_is_the_hadamard_matrix_product():
+    from scipy.linalg import hadamard
+
+    rng = np.random.default_rng(7)
+    for T in range(7):
+        a = rng.integers(-9, 10, 2**T)
+        np.testing.assert_array_equal(_walsh_hadamard(a), hadamard(2**T, dtype=np.int64) @ a)
+
+
+# --- congruence classes ---------------------------------------------------------
+
+
+def _det_mod_q(M, q):
+    M = [[v % q for v in row] for row in M]
+    det = 1
+    for c in range(len(M)):
+        p = next((r for r in range(c, len(M)) if M[r][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            M[c], M[p] = M[p], M[c]
+            det = -det
+        det = det * M[c][c] % q
+        inv = pow(M[c][c], -1, q)
+        for r in range(c + 1, len(M)):
+            f = M[r][c] * inv % q
+            M[r] = [(a - f * b) % q for a, b in zip(M[r], M[c])]
+    return det % q
+
+
+def _classify_oracle(S, q):
+    """(rank, kind) of a symmetric matrix, independently of ``class_chain``:
+    rank by elimination; for q = 2 whether the diagonal vanishes; for odd q
+    the square class (Euler's criterion) of a nonzero principal minor of
+    order rank, which a symmetric matrix always has and whose block
+    carries the whole nondegenerate part."""
+    K = len(S)
+    rank = _span_rank_mod_q(S, q) if K else 0
+    if q == 2:
+        return rank, "a" if not any(S[i][i] for i in range(K)) else "n"
+    if rank == 0:
+        return 0, "+"
+    minor = next(
+        m
+        for rows in itertools.combinations(range(K), rank)
+        if (m := _det_mod_q([[S[i][j] for j in rows] for i in rows], q))
+    )
+    return rank, "+" if pow(minor, (q - 1) // 2, q) == 1 else "-"
+
+
+def _tables(q, K):
+    """Every symmetric K x K matrix over F(q), in the state order of
+    ``evolve`` (big-endian digits over the upper triangle)."""
+    T = pair_count(K)
+    iu, ju = np.triu_indices(K)
+    for digits in itertools.product(range(q), repeat=T):
+        S = np.zeros((K, K), dtype=np.int64)
+        S[iu, ju] = digits
+        S[ju, iu] = digits
+        yield S.tolist()
+
+
+# every (q, K) evolved exactly; K = 1 stops at q < 128 (its classes are
+# only zero, squares and nonsquares, and evolve costs seconds at q ~ 4096)
+EXACT_POINTS = [
+    (q, K)
+    for K in range(1, 5)
+    for q in range(2, 128 if K == 1 else EXACT_EVOLVE_LIMIT + 1)
+    if all(q % r for r in range(2, q)) and q ** pair_count(K) <= EXACT_EVOLVE_LIMIT
+]
+
+
+def test_class_count_is_2k_plus_1_or_the_q2_count():
+    for q, K in [(2, 1), (2, 4), (2, 5), (3, 1), (3, 4), (7, 3), (101, 2)]:
+        chain = class_chain(q, K)
+        assert len(chain.labels) == (1 + K + K // 2 if q == 2 else 2 * K + 1)
+        assert chain.labels[0] == (0, "a" if q == 2 else "+")
+        assert sum(chain.sizes) == q ** pair_count(K)
+        np.testing.assert_array_equal(chain.counts.sum(axis=1), q**K)
+
+
+@pytest.mark.parametrize("q, K", EXACT_POINTS)
+def test_class_chain_matches_brute_force_classification(q, K):
+    chain = class_chain(q, K)
+    members = {label: [] for label in chain.labels}
+    for S in _tables(q, K):
+        members[_classify_oracle(S, q)].append(S)
+    assert tuple(len(members[label]) for label in chain.labels) == chain.sizes
+    assert sum(chain.sizes) == q ** pair_count(K)
+    np.testing.assert_array_equal(chain.counts.sum(axis=1), q**K)
+    # the counts out of the first and the last table of each class
+    cols = list(itertools.product(range(q), repeat=K))
+    index = {label: b for b, label in enumerate(chain.labels)}
+    for a, label in enumerate(chain.labels):
+        for S in {0: members[label][0], 1: members[label][-1]}.values():
+            row = np.zeros(len(chain.labels), dtype=np.int64)
+            for x in cols:
+                moved = [[(S[i][j] + x[i] * x[j]) % q for j in range(K)] for i in range(K)]
+                row[index[_classify_oracle(moved, q)]] += 1
+            np.testing.assert_array_equal(row, chain.counts[a])
+
+
+@pytest.mark.parametrize("q, K", EXACT_POINTS)
+def test_per_state_laws_are_constant_on_classes(q, K):
+    chain = class_chain(q, K)
+    index = {label: b for b, label in enumerate(chain.labels)}
+    classes = np.array([index[_classify_oracle(S, q)] for S in _tables(q, K)])
+    for p in evolve(delta_distribution(q, K), 6).distributions:
+        for b in range(len(chain.labels)):
+            members = p[classes == b]
+            assert np.all(members == members[0])
+
+
+@pytest.mark.parametrize("q, K", EXACT_POINTS)
+def test_class_trace_rows_equal_the_exact_per_state_rows(q, K):
+    d = delta_distribution(q, K)
+    L_max = 200 if (q, K) in [(2, 2), (3, 2), (3, 3), (2, 4)] else 40
+    trace = class_trace(q, K, L_max)
+    ref = evolve(d, L_max, store_distributions=False)
+    assert ref.exact and trace.exact
+    np.testing.assert_array_equal(trace.sup_dists, ref.sup_dists)
+    np.testing.assert_array_equal(trace.l2_dists, ref.l2_dists)
+    assert trace.lambda2 == ref.lambda2 == spectrum_via_characters(d).lambda2
+    assert (trace.fitted_rate, trace.fitted_constant) == (ref.fitted_rate, ref.fitted_constant)
+    assert not trace.sup_floors.any() and trace.distributions is None
+
+
+def _assert_within_float_path(trace, d, L_max):
+    """Exact class rows against the float path: sup within its rounding
+    floor, l2 within 1e-13 relative wherever the float l2 is a normal
+    double."""
+    sup_f, l2_f, _, lam2 = _evolve_float(d, L_max, False)
+    floors = _float_sup_floors(d.q, d.T, l2_f)
+    assert trace.exact and not trace.sup_floors.any() and trace.distributions is None
+    assert trace.lambda2 == lam2
+    assert np.all(np.abs(trace.sup_dists - sup_f) <= floors)
+    normal = l2_f >= np.finfo(float).tiny
+    assert normal.any()
+    np.testing.assert_allclose(trace.l2_dists[normal], l2_f[normal], rtol=1e-13, atol=0)
+    return normal
+
+
+@pytest.mark.parametrize("q, K", [(5, 3), (7, 3), (2, 5)])
+def test_class_trace_agrees_with_the_float_path(q, K):
+    d = delta_distribution(q, K)
+    assert q**d.T > EXACT_EVOLVE_LIMIT
+    normal = _assert_within_float_path(class_trace(q, K, 40), d, 40)
+    assert normal.all()
+
+
+def test_class_trace_l2_stays_normal_where_its_square_underflows():
+    # at (7,3), l2(L)**2 ~ 7**-L leaves the normal range near L = 365, l2
+    # itself near L = 730; the float path's l2 is lambda2**L times a sum
+    # scaled to stay near 1, so it is a reference at every normal row
+    q, K, L_max = 7, 3, 1000
+    trace = class_trace(q, K, L_max)
+    normal = _assert_within_float_path(trace, delta_distribution(q, K), L_max)
+    assert normal[:700].all() and not normal[-1]
+    assert trace.l2_dists[400] ** 2 < np.finfo(float).tiny
+    assert np.all(trace.l2_dists[normal] > 0)
+
+
+def test_class_trace_guards():
+    with pytest.raises(ValueError, match="not prime"):
+        class_trace(4, 2, 0)
+    with pytest.raises(ValueError, match=f"exceeds {ENUMERATION_LIMIT}"):
+        class_trace(2, 6, 0)
+    for L_max in (0, 1001):
+        with pytest.raises(ValueError, match=r"L_max must lie in \[1, 1000\]"):
+            class_trace(2, 2, L_max)
+    with pytest.raises(ValueError, match="not prime"):
+        class_chain(9, 1)
