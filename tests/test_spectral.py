@@ -624,7 +624,7 @@ def test_class_chain_matches_brute_force_classification(q, K):
     cols = list(itertools.product(range(q), repeat=K))
     index = {label: b for b, label in enumerate(chain.labels)}
     for a, label in enumerate(chain.labels):
-        for S in {0: members[label][0], 1: members[label][-1]}.values():
+        for S in (members[label][0], members[label][-1]):
             row = np.zeros(len(chain.labels), dtype=np.int64)
             for x in cols:
                 moved = [[(S[i][j] + x[i] * x[j]) % q for j in range(K)] for i in range(K)]
