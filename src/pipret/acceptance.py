@@ -115,7 +115,7 @@ def criterion_irreducibility(master_seed: int) -> dict:
         (7, 2), (11, 2), (13, 2),
     ]
     for q, K in closure_configs:
-        rep = spectral.is_irreducible(spectral.delta_distribution(q, K))
+        rep = spectral.is_irreducible(q, K)
         checks.append((f"support generates group at (q={q},K={K})", rep.irreducible))
 
     power_configs = [(2, 2), (2, 3), (3, 2), (5, 2), (7, 2)]
@@ -123,7 +123,7 @@ def criterion_irreducibility(master_seed: int) -> dict:
         # the dense matrix power is the oracle for the level-set walk
         op = spectral.transition_dense(q, K)
         dense = bool((np.linalg.matrix_power(op.matrix, 5 * op.delta.T) > 0).all())
-        rep = spectral.is_irreducible(op.delta)
+        rep = spectral.is_irreducible(q, K)
         checks.append(
             (f"M^(5T) strictly positive at (q={q},K={K})", dense and rep.gamma_all_positive)
         )
@@ -443,16 +443,20 @@ def run_criteria(master_seed: int = MASTER_SEED_DEFAULT) -> list[dict]:
     return records
 
 
-def consolidated_json(records: list[dict], master_seed: int, version: str) -> str:
-    """Deterministic serialization of the verdict (runtimes excluded)."""
-    payload = {
+def _verdict(records: list[dict], master_seed: int, version: str) -> dict:
+    """The report's version, seed and criteria, runtimes excluded."""
+    return {
         "version": version,
         "master_seed": master_seed,
         "criteria": [
             {k: v for k, v in rec.items() if not k.startswith("_")} for rec in records
         ],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def consolidated_json(records: list[dict], master_seed: int, version: str) -> str:
+    """Deterministic serialization of the verdict (runtimes excluded)."""
+    return json.dumps(_verdict(records, master_seed, version), sort_keys=True, indent=2) + "\n"
 
 
 def reproduce_all(master_seed: int = MASTER_SEED_DEFAULT, version: str = "0.1.0"):
@@ -479,13 +483,7 @@ def reproduce_all(master_seed: int = MASTER_SEED_DEFAULT, version: str = "0.1.0"
             "runtime_ok": True,
         }
     ]
-    report = {
-        "version": version,
-        "master_seed": master_seed,
-        "criteria": [
-            {k: v for k, v in rec.items() if not k.startswith("_")} for rec in records
-        ],
-    }
+    report = _verdict(records, master_seed, version)
     failed = [rec["id"] for rec in records if not rec["passed"]]
     report["failed_criteria"] = failed
     runtimes = {rec["id"]: rec["_runtime_s"] for rec in first}

@@ -128,7 +128,7 @@ def cmd_spectrum(params: dict, master_seed: int):
     q, K = int(params["q"]), int(params["K"])
     d = spectral.delta_distribution(q, K)
     spec = spectral.spectrum_via_characters(d)
-    rep = spectral.is_irreducible(d)
+    rep = spectral.is_irreducible(q, K)
     return {
         "q": q,
         "K": K,

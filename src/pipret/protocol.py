@@ -316,21 +316,24 @@ def _sort_rows(arrays: list) -> list:
     return arrays
 
 
+def _structure_key(blocks) -> tuple:
+    """The audit's structure statistic: per block the sorted file supports
+    of its sums, and the blocks in sorted order."""
+    supports = (tuple(sorted(tuple(f for f, _ in terms) for terms in block)) for block in blocks)
+    return tuple(sorted(supports))
+
+
 def _server_statistic(server_query, T: int):
-    structure = []
     index_sets = {f: [] for f in range(T)}
     for block in server_query:
-        supports = tuple(sorted(tuple(f for f, _ in terms) for terms in block))
-        structure.append(supports)
         per_file = {}
         for terms in block:
             for f, i in terms:
                 per_file.setdefault(f, []).append(i)
         for f in range(T):
             index_sets[f].append(tuple(sorted(per_file.get(f, ()))))
-    structure_key = tuple(sorted(structure))
     file_keys = {f: tuple(sorted(index_sets[f])) for f in range(T)}
-    return structure_key, file_keys
+    return _structure_key(server_query), file_keys
 
 
 # --- baseline scheme ----------------------------------------------------------
@@ -599,11 +602,8 @@ class RepeatedPirScheme(RetrievalScheme):
         layouts = [_run_layout(T, n_servers, theta) for theta in request]
         tally = {}
         for n in range(n_servers):
-            run_keys = (
-                tuple(sorted(tuple(f for f, _ in terms) for terms in layout.sums[n]))
-                for layout in layouts
-            )
-            tally[("structure", n)] = _counter_arrays(Counter({tuple(sorted(run_keys)): samples}))
+            structure_key = _structure_key(layout.sums[n] for layout in layouts)
+            tally[("structure", n)] = _counter_arrays(Counter({structure_key: samples}))
         # slots[r][n][f]: the slots of file f in server n's sums of run r
         slots = [
             [[sums.indices[sums.files == f] for f in range(T)] for sums in layout.sums]

@@ -12,26 +12,25 @@ Because the transition operator depends only on state differences, it is a
 convolution operator on the group and its full spectrum is the multi-
 dimensional discrete Fourier transform of the increment distribution: an
 O(q^T log q^T) computation instead of an O(q^(3T)) eigendecomposition.
-Irreducibility and strict positivity of M^(5T) are decided by the same
-transform, as Fourier-domain convolutions of level-set indicators:
-real-input transforms over the half spectrum for odd q, and for q = 2 the
-Walsh-Hadamard transform in integers.  The dense matrix path is retained
-purely as a brute-force oracle for tests and acceptance.
+The dense matrix path is retained purely as a brute-force oracle for tests
+and acceptance.
 
-The distances to uniform that ``converge`` reports come from the walk
-lumped onto congruence classes.  The table is a symmetric K x K matrix S
-and a column x moves it to S + x x^T.  For A in GL_K(F(q)), x -> A^T x is
-a bijection of the columns, so the walk commutes with S -> A^T S A, and
-its start, the zero table, is fixed; the law after any number of steps is
-therefore constant on congruence classes, and the walk is strongly
-lumpable onto them (Kemeny and Snell, Finite Markov Chains, 1960).  The
-classes are the rank and the square class of the discriminant of the
-nondegenerate part for odd q, 2K + 1 of them, and the rank and whether
-the matrix is alternating for q = 2, 1 + K + floor(K/2) of them
-(MacWilliams, "Orthogonal matrices over finite fields", Amer. Math.
-Monthly 76, 1969, which also counts them).  ``class_trace`` evolves the
-class masses in integers, so every row is exact at every size and every
-length, for a handful of big-integer products per step.
+Irreducibility, strict positivity of M^(5T) and the distances to uniform
+that ``converge`` reports come from the walk lumped onto congruence
+classes.  The table is a symmetric K x K matrix S and a column x moves it
+to S + x x^T.  For A in GL_K(F(q)), x -> A^T x is a bijection of the
+columns, so the walk commutes with S -> A^T S A, and its start, the zero
+table, is fixed; the law after any number of steps is therefore constant
+on congruence classes, and the walk is strongly lumpable onto them
+(Kemeny and Snell, Finite Markov Chains, 1960).  The classes are the rank
+and the square class of the discriminant of the nondegenerate part for
+odd q, 2K + 1 of them, and the rank and whether the matrix is alternating
+for q = 2, 1 + K + floor(K/2) of them (MacWilliams, "Orthogonal matrices
+over finite fields", Amer. Math. Monthly 76, 1969, which also counts
+them).  ``is_irreducible`` walks the level sets of the support as sets of
+classes, and ``class_trace`` evolves the class masses in integers, so
+both are exact at every size, and every row at every length, for a
+handful of big-integer products per step.
 
 ``evolve`` keeps the per-state laws, which subset entropies need, and is
 the reference for the class chain.  It is exact in integers while
@@ -56,7 +55,15 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .fields import Database, PairIndex, compute_table, is_prime, pair_count, pair_rank, pair_unrank
+from .fields import (
+    Database,
+    PairIndex,
+    _check_prime_modulus,
+    compute_table,
+    pair_count,
+    pair_rank,
+    pair_unrank,
+)
 
 ENUMERATION_LIMIT = 2**20   # largest q^T enumerated for distributions
 DENSE_LIMIT = 2**12         # largest q^T materialized as a dense matrix
@@ -104,8 +111,7 @@ def delta_distribution(q: int, K: int) -> DeltaDistribution:
     Raises ValueError when q is not prime or q^T exceeds the enumeration
     guard.
     """
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
+    q = _check_prime_modulus(q)
     T, n = _state_count(q, K)
     cols = np.indices((q,) * K).reshape(K, -1).T.astype(np.int64)
     iu, ju = np.triu_indices(K)
@@ -208,81 +214,42 @@ class IrreducibilityReport:
     gamma_all_positive: bool
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform of a length-2**T vector, the
-    group transform of F(2)^T, exact in integer arithmetic.
+def is_irreducible(q: int, K: int) -> IrreducibilityReport:
+    """Level sets S_0 = {0}, S_k = S_(k-1) + support of the walk in F(q)^T,
+    walked on the congruence classes of the table.
 
-    Constant-geometry butterfly: each pass writes the sums of adjacent
-    pairs to the first half and their differences to the second, which
-    transforms the lowest index bit and rotates it to the top; after T
-    passes every bit is transformed and back in place.
+    S_k is the support of the law after k steps from the zero table.  That
+    law is constant on congruence classes (see the module docstring), so
+    S_k is a union of classes, and class b lies in S_k iff some class a in
+    S_(k-1) has ``class_chain(q, K).counts[a, b] > 0``, a count that is the
+    same from every table of class a.  The walk on boolean sets of classes
+    is therefore exact, with no transform.  It stops once a level set is
+    every class (G + s = G keeps it full), or once k >= gamma and the union
+    of the level sets has stopped growing.
+
+    The chain is irreducible iff that union is every class; ``reached`` is
+    the number of tables in it.  M**gamma has entry (i, j) positive iff
+    y_i - y_j lies in S_gamma, so ``gamma_all_positive`` is whether S_gamma
+    is every class; this needs no zero increment in the support.  Raises
+    the ValueErrors of ``class_chain``.
     """
-    half = a.size // 2
-    a, out = a.copy(), np.empty_like(a)
-    for _ in range(half.bit_length()):
-        pairs = a.reshape(-1, 2)
-        np.add(pairs[:, 0], pairs[:, 1], out=out[:half])
-        np.subtract(pairs[:, 0], pairs[:, 1], out=out[half:])
-        a, out = out, a
-    return a
-
-
-def is_irreducible(d: DeltaDistribution) -> IrreducibilityReport:
-    """Level sets S_0 = {0}, S_k = S_(k-1) + support of the walk in F(q)^T.
-
-    Each step convolves the 0/1 indicator of S_(k-1) with that of the
-    support over the group; the convolution counts representations,
-    integers in [0, |support|].  For q = 2 the group transform is the
-    Walsh-Hadamard butterfly in int64: transforms of 0/1 vectors are at
-    most n in modulus, so the product's transform, n times the counts,
-    stays below n**3 <= 2**60 within the enumeration guard and is exact.
-    For odd q it is the real-input FFT (``rfftn``/``irfftn`` over all T
-    axes in one call), whose output is rounded, and ArithmeticError is
-    raised if any entry lies 0.25 or more from an integer.  The walk stops
-    once a level set is the whole group (G + s = G keeps it full), or once
-    k >= gamma and the union of the level sets has stopped growing.
-
-    The chain is irreducible iff that union is the whole group.  M**gamma
-    has entry (i, j) positive iff y_i - y_j lies in S_gamma, so
-    ``gamma_all_positive`` is whether S_gamma is the whole group; this
-    needs no zero increment in the support.
-    """
-    q, T = d.q, d.T
-    shape = (q,) * T
-    n = q**T
+    chain = class_chain(q, K)
+    moves = chain.counts > 0
+    T = pair_count(K)
     gamma = 5 * T
-    support = d.counts > 0
-    if q == 2:
-        support_hat = _walsh_hadamard(support.astype(np.int64))
-
-        def step(level, k):
-            return _walsh_hadamard(_walsh_hadamard(level.astype(np.int64)) * support_hat) > 0
-    else:
-        support_hat = scipy.fft.rfftn(support.reshape(shape).astype(float))
-
-        def step(level, k):
-            conv = scipy.fft.irfftn(
-                scipy.fft.rfftn(level.reshape(shape).astype(float)) * support_hat, s=shape
-            )
-            counts = np.rint(conv)
-            if np.abs(conv - counts).max() >= 0.25:
-                raise ArithmeticError(f"level-set convolution off the integers at step {k}")
-            return counts.ravel() > 0
-
-    level = np.zeros(n, dtype=bool)
+    level = np.zeros(len(chain.labels), dtype=bool)
     level[0] = True
     union = level.copy()
     k, grown = 0, True
     while not level.all() and (k < gamma or grown):
         k += 1
-        level = step(level, k)
+        level = moves[level].any(axis=0)
         grown = bool((level & ~union).any())
         union |= level
-    reached = int(union.sum())
     return IrreducibilityReport(
-        irreducible=(reached == n),
-        reached=reached,
-        group_size=n,
+        irreducible=bool(union.all()),
+        reached=sum(size for size, hit in zip(chain.sizes, union) if hit),
+        group_size=q**T,
         gamma=gamma,
         gamma_all_positive=bool(level.all() and k <= gamma),
     )
@@ -637,8 +604,7 @@ def class_chain(q: int, K: int) -> ClassChain:
     raised if one is not a positive integer.  Raises ValueError for a
     non-prime q or q^T beyond the enumeration guard.
     """
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
+    q = _check_prime_modulus(q)
     _, n = _state_count(q, K)
     if q == 2:
         labels = sorted([(0, "a")] + [(r, "n") for r in range(1, K + 1)]

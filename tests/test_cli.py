@@ -360,12 +360,6 @@ def test_reproduce_negative_control_planted_spectral_fault(monkeypatch, capsys):
         )
 
     monkeypatch.setattr(spectral, "delta_distribution", skewed)
-    record = dict(
-        zip(
-            ("id", "name", "passed"),
-            (1, "spectral exactness", None),
-        )
-    )
     detail = acceptance.criterion_spectral_exactness(0)
     assert not all(ok for _, ok in detail["checks"])
 

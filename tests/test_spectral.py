@@ -1,18 +1,17 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from pipret.fields import PairIndex, pair_count
+from pipret import acceptance, spectral
+from pipret.fields import PairIndex, is_prime, pair_count
 from pipret.spectral import (
     ENUMERATION_LIMIT,
     EXACT_EVOLVE_LIMIT,
     ConvergenceTrace,
-    DeltaDistribution,
     accumulate_increment,
     class_chain,
     class_trace,
@@ -32,7 +31,6 @@ from pipret.spectral import (  # float fallback cross-checks
     _evolve_float,
     _float_sup_floors,
     _increment_transform,
-    _walsh_hadamard,
 )
 
 
@@ -161,7 +159,7 @@ def _span_rank_mod_q(vectors, q):
 def test_irreducibility_bfs_and_rank_oracle_agree():
     for q, K in [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (7, 2)]:
         d = delta_distribution(q, K)
-        rep = is_irreducible(d)
+        rep = is_irreducible(q, K)
         support = []
         for idx in d.support_indices:
             digits = []
@@ -176,18 +174,13 @@ def test_irreducibility_bfs_and_rank_oracle_agree():
         assert rep.reached == rep.group_size
 
 
-def _planted(q, T, counts):
-    # K is not read by the walk; T alone fixes the group F(q)^T
-    counts = np.asarray(counts, dtype=np.int64)
-    return DeltaDistribution(q=q, K=T, T=T, counts=counts, probs=counts / counts.sum())
-
-
 def _bool_matrix_power(A, k):
-    result = np.eye(len(A))
+    # 0/1 products in float32 count at most n < 2**24 paths, exactly
+    result = np.eye(len(A), dtype=np.float32)
     while k:
         if k & 1:
-            result = (result @ A > 0).astype(float)
-        A = (A @ A > 0).astype(float)
+            result = (result @ A > 0).astype(np.float32)
+        A = (A @ A > 0).astype(np.float32)
         k >>= 1
     return result > 0
 
@@ -199,8 +192,8 @@ def _dense_oracle(d):
     states = np.indices((d.q,) * d.T).reshape(d.T, -1).T
     powers = d.q ** np.arange(d.T - 1, -1, -1)
     diff = (states[:, None, :] - states[None, :, :]) % d.q
-    A = (d.probs[diff @ powers] > 0).astype(float)
-    reached = int(_bool_matrix_power(np.eye(n) + A, n - 1)[:, 0].sum())
+    A = (d.probs[diff @ powers] > 0).astype(np.float32)
+    reached = int(_bool_matrix_power(np.eye(n, dtype=np.float32) + A, n - 1)[:, 0].sum())
     return reached == n, reached, bool(_bool_matrix_power(A, 5 * d.T).all())
 
 
@@ -208,71 +201,70 @@ def _report_triple(rep):
     return rep.irreducible, rep.reached, rep.gamma_all_positive
 
 
+# every (q, K) with at most 729 tables, within reach of the dense oracle's
+# boolean matrix powers
+DENSE_POINTS = [
+    (q, K)
+    for K in range(1, 4)
+    for q in range(2, 730)
+    if is_prime(q) and q ** pair_count(K) <= 729
+]
+
+
+@pytest.mark.parametrize("q, K", DENSE_POINTS)
+def test_irreducibility_matches_the_dense_oracle(q, K):
+    rep = is_irreducible(q, K)
+    assert rep.group_size == q ** pair_count(K)
+    assert rep.gamma == 5 * pair_count(K)
+    assert _report_triple(rep) == _dense_oracle(delta_distribution(q, K))
+
+
+def _without_rank_growth(a):
+    """``class_chain`` with the transitions that raise the rank of class
+    ``a`` dropped."""
+    real = spectral.class_chain
+
+    def planted(q, K):
+        chain = real(q, K)
+        counts = chain.counts.copy()
+        rank = chain.labels[a][0]
+        counts[a, [r > rank for r, _ in chain.labels]] = 0
+        return dataclasses.replace(chain, counts=counts)
+
+    return planted
+
+
 @pytest.mark.parametrize(
-    "q, T, support, expected",
+    "q, K, a, reached",
     [
-        # periodic: Z2 with support {1} alternates between {0} and {1}
-        (2, 1, [1], (True, 2, False)),
-        # S_5 = {0..5}; the level sets fill Z17 only at step 16
-        (17, 1, [0, 1], (True, 17, False)),
+        # the walk never leaves the zero table
+        (3, 2, 0, 1),
+        # at q = 2 the 2**K - 1 rank-one tables x x^T form class 1, and
+        # without its growth the walk stays on them and the zero table
+        (2, 3, 1, 8),
+        (2, 4, 1, 16),
     ],
 )
-def test_irreducibility_explicit_laws(q, T, support, expected):
-    counts = np.zeros(q**T, dtype=np.int64)
-    counts[support] = 2
-    d = _planted(q, T, counts)
-    assert _report_triple(is_irreducible(d)) == expected == _dense_oracle(d)
-
-
-def test_irreducibility_detects_proper_subgroup():
-    # plant a distribution supported on the 2-element subgroup {000, 111} of F(2)^3
-    counts = np.zeros(8, dtype=np.int64)
-    counts[0] = 2
-    counts[7] = 2
-    d = _planted(2, 3, counts)
-    assert _report_triple(is_irreducible(d)) == (False, 2, False) == _dense_oracle(d)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_irreducibility_matches_dense_oracle_on_planted_laws(data):
-    q = data.draw(st.sampled_from([2, 3, 5, 7]), label="q")
-    T = data.draw(st.integers(1, 3), label="T")
-    n = q**T
-    support = data.draw(
-        st.sets(st.integers(1, n - 1), min_size=1, max_size=min(n - 1, 6)), label="support"
-    )
-    if data.draw(st.booleans(), label="with_zero"):
-        support = support | {0}
-    counts = np.zeros(n, dtype=np.int64)
-    for i in sorted(support):
-        counts[i] = data.draw(st.integers(1, 9), label=f"count{i}")
-    d = _planted(q, T, counts)
-    rep = is_irreducible(d)
-    assert rep.group_size == n
-    assert rep.gamma == 5 * T
-    assert _report_triple(rep) == _dense_oracle(d)
-
-
-def test_irreducibility_rejects_off_integer_convolution(monkeypatch):
-    # odd q: q = 2 convolves by the integer Walsh-Hadamard butterfly
-    irfftn = scipy.fft.irfftn
-    monkeypatch.setattr(scipy.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + 0.3)
-    with pytest.raises(ArithmeticError):
-        is_irreducible(delta_distribution(3, 2))
+def test_irreducibility_fails_on_a_planted_class_chain_fault(monkeypatch, q, K, a, reached):
+    monkeypatch.setattr(spectral, "class_chain", _without_rank_growth(a))
+    rep = is_irreducible(q, K)
+    assert not rep.irreducible and not rep.gamma_all_positive
+    assert rep.reached == reached < rep.group_size
+    checks = acceptance.criterion_irreducibility(0)["checks"]
+    assert not all(ok for _, ok in checks)
 
 
 def test_matrix_power_positivity():
     for q, K in [(2, 2), (3, 2), (5, 2), (2, 3)]:
         op = transition_dense(q, K)
-        rep = is_irreducible(op.delta)
+        rep = is_irreducible(q, K)
         assert rep.gamma == 5 * pair_count(K)
         assert (np.linalg.matrix_power(op.matrix, rep.gamma) > 0).all()
         assert rep.gamma_all_positive
     # beyond the dense oracle's reach; the reachability witnesses reach
     # every state in 5T steps because the zero increment is in the support
     for q, K in [(2, 4), (3, 3), (5, 3), (2, 5)]:
-        assert is_irreducible(delta_distribution(q, K)).gamma_all_positive
+        assert is_irreducible(q, K).gamma_all_positive
 
 
 def test_sum_two_squares_examples():
@@ -530,15 +522,6 @@ def test_trace_is_dataclass_with_fit_fields():
     assert 0 < trace.fitted_rate < 1
 
 
-def test_walsh_hadamard_is_the_hadamard_matrix_product():
-    from scipy.linalg import hadamard
-
-    rng = np.random.default_rng(7)
-    for T in range(7):
-        a = rng.integers(-9, 10, 2**T)
-        np.testing.assert_array_equal(_walsh_hadamard(a), hadamard(2**T, dtype=np.int64) @ a)
-
-
 # --- congruence classes ---------------------------------------------------------
 
 
@@ -657,39 +640,85 @@ def test_class_trace_rows_equal_the_exact_per_state_rows(q, K):
     assert not trace.sup_floors.any() and trace.distributions is None
 
 
-def _assert_within_float_path(trace, d, L_max):
-    """Exact class rows against the float path: sup within its rounding
-    floor, l2 within 1e-13 relative wherever the float l2 is a normal
-    double."""
-    sup_f, l2_f, _, lam2 = _evolve_float(d, L_max, False)
-    floors = _float_sup_floors(d.q, d.T, l2_f)
-    assert trace.exact and not trace.sup_floors.any() and trace.distributions is None
-    assert trace.lambda2 == lam2
-    assert np.all(np.abs(trace.sup_dists - sup_f) <= floors)
-    normal = l2_f >= np.finfo(float).tiny
-    assert normal.any()
-    np.testing.assert_allclose(trace.l2_dists[normal], l2_f[normal], rtol=1e-13, atol=0)
-    return normal
+def _symmetric_rank_counts(q, K):
+    """MacWilliams' count of symmetric K x K matrices over F(q) of rank r,
+    prod_(i=1..s) q**(2i) / (q**(2i) - 1) * prod_(i=0..r-1) (q**(K-i) - 1)
+    with s = floor(r/2), for r = 0 .. K."""
+    counts = []
+    for r in range(K + 1):
+        num = math.prod(q ** (K - i) - 1 for i in range(r))
+        num *= math.prod(q ** (2 * i) for i in range(1, r // 2 + 1))
+        den = math.prod(q ** (2 * i) - 1 for i in range(1, r // 2 + 1))
+        assert num % den == 0
+        counts.append(num // den)
+    assert sum(counts) == q ** pair_count(K)
+    return counts
+
+
+def _alternating_rank_counts(q, K):
+    """Count of alternating K x K matrices over F(q) of rank 2h,
+    q**(h(h-1)) * prod_(i=0..2h-1) (q**(K-i) - 1) / prod_(i=1..h) (q**(2i) - 1),
+    for h = 0 .. floor(K/2)."""
+    counts = []
+    for h in range(K // 2 + 1):
+        num = q ** (h * (h - 1)) * math.prod(q ** (K - i) - 1 for i in range(2 * h))
+        den = math.prod(q ** (2 * i) - 1 for i in range(1, h + 1))
+        assert num % den == 0
+        counts.append(num // den)
+    assert sum(counts) == q ** (K * (K - 1) // 2)
+    return counts
+
+
+def _closed_form_l2(q, K, L_max):
+    """l2 distance to uniform after L = 1 .. L_max columns from the
+    character spectrum in closed form, n * l2(L)**2 =
+    sum_(chi != 0) |lambda_chi|**(2L), rounded as ``_exact_distances``
+    rounds.  For odd q, |lambda_chi| = q**(-r/2) on the N_r characters
+    whose quadratic form has rank r; for q = 2, |lambda_chi| = 2**-h on
+    the A_2(K, 2h) * 4**h characters whose polar form has rank 2h and
+    that vanish on its radical, and 0 on the rest."""
+    n = q ** pair_count(K)
+    # (multiplicity, |lambda_chi|**-2) for every nonzero modulus
+    if q == 2:
+        moduli = [(c * 4**h, 4**h) for h, c in enumerate(_alternating_rank_counts(2, K)) if h]
+    else:
+        moduli = [(c, q**r) for r, c in enumerate(_symmetric_rank_counts(q, K)) if r]
+    top = max(base for _, base in moduli)
+    out = []
+    for L in range(1, L_max + 1):
+        # l2**2 = num / den exactly
+        num = sum(mult * (top // base) ** L for mult, base in moduli)
+        den = n * top**L
+        m = max(0, (den.bit_length() - num.bit_length()) // 2)
+        out.append(math.ldexp(math.sqrt((num << 2 * m) / den), -m))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("q, K", [(5, 3), (7, 3), (2, 5)])
 def test_class_trace_agrees_with_the_float_path(q, K):
+    """Exact class rows against the float path: sup within its rounding
+    floor, l2 within 1e-13 relative; and l2 bit for bit against the
+    closed form."""
     d = delta_distribution(q, K)
     assert q**d.T > EXACT_EVOLVE_LIMIT
-    normal = _assert_within_float_path(class_trace(q, K, 40), d, 40)
-    assert normal.all()
+    trace = class_trace(q, K, 40)
+    sup_f, l2_f, _, lam2 = _evolve_float(d, 40, False)
+    floors = _float_sup_floors(d.q, d.T, l2_f)
+    assert trace.exact and not trace.sup_floors.any() and trace.distributions is None
+    assert trace.lambda2 == lam2
+    assert np.all(np.abs(trace.sup_dists - sup_f) <= floors)
+    np.testing.assert_allclose(trace.l2_dists, l2_f, rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(trace.l2_dists, _closed_form_l2(q, K, 40))
 
 
 def test_class_trace_l2_stays_normal_where_its_square_underflows():
     # at (7,3), l2(L)**2 ~ 7**-L leaves the normal range near L = 365, l2
-    # itself near L = 730; the float path's l2 is lambda2**L times a sum
-    # scaled to stay near 1, so it is a reference at every normal row
+    # itself near L = 730; the closed form is exact at every row
     q, K, L_max = 7, 3, 1000
     trace = class_trace(q, K, L_max)
-    normal = _assert_within_float_path(trace, delta_distribution(q, K), L_max)
-    assert normal[:700].all() and not normal[-1]
+    np.testing.assert_array_equal(trace.l2_dists, _closed_form_l2(q, K, L_max))
+    assert np.all(trace.l2_dists[:700] >= np.finfo(float).tiny)
     assert trace.l2_dists[400] ** 2 < np.finfo(float).tiny
-    assert np.all(trace.l2_dists[normal] > 0)
 
 
 def test_class_trace_guards():
