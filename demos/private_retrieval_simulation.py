@@ -2,15 +2,15 @@
 """Simulated multi-server retrieval of inner products, with rate accounting.
 
 Builds replicated databases, treats each of the K(K+1)/2 pairwise inner
-products as a virtual file (batched over independent database instances so
-it has real length), runs two retrieval schemes against N servers, and
+products as a virtual file (over nu independent database instances, stacked
+on the leading axis of one Database, so it has real length), runs two retrieval schemes against N servers, and
 compares measured download cost with the closed-form bounds.
 """
 
 import numpy as np
 
 from pipret.bounds import BoundQuery, inverse_rate_converse, single_message_inverse_rate
-from pipret.fields import PairIndex, compute_table, random_database
+from pipret.fields import Database, PairIndex, compute_table, pair_rank
 from pipret.protocol import (
     FullDownloadScheme,
     PairSet,
@@ -46,11 +46,14 @@ print("2. Database-derived runs: inner products as virtual files")
 print("=" * 72)
 K, q, N = 2, 5, 2
 nu = N ** 3  # subpacketization for T = K(K+1)/2 = 3
-databases = [random_database(q, K, L=6, seed=s) for s in range(nu)]
+# nu instances of K files of length 6, stacked: entries shaped (nu, K, 6)
+db = Database(q, np.random.default_rng(3).integers(0, q, size=(nu, K, 6)))
 pairs = PairSet({PairIndex(1, 2)})
-tr = retrieve_pairs(RepeatedPirScheme(), pairs, databases, N, seed=3)
-truth = [int(compute_table(db).get(PairIndex(1, 2))) for db in databases]
-print(f"  requested pair {{1,2}} across {nu} database instances")
+tr = retrieve_pairs(RepeatedPirScheme(), pairs, db, N, seed=3)
+# one (nu, T) table: row n is instance n's inner products in pair order
+table = compute_table(db).values
+truth = table[:, pair_rank(K, PairIndex(1, 2))].tolist()
+print(f"  requested pair {{1,2}} across {nu} database instances (table {table.shape})")
 print(f"  decoded : {tr.decoded[0].tolist()}")
 print(f"  truth   : {truth}")
 print(f"  inverse rate {tr.inverse_rate} vs geometric sum "

@@ -185,12 +185,11 @@ def cmd_simulate(params: dict, master_seed: int):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[master_seed, i]))
         request = tuple(sorted(rng.choice(T, size=P, replace=False).tolist()))
         if K is not None:
-            entries = rng.integers(0, q, size=(nu, int(K), L), dtype=np.int64)
-            dbs = [Database(q, e) for e in entries]
+            db = Database(q, rng.integers(0, q, size=(nu, int(K), L), dtype=np.int64))
             tr = protocol.retrieve_pairs(
                 scheme,
                 protocol.PairSet({pair_unrank(int(K), r) for r in request}),
-                dbs,
+                db,
                 N,
                 seed=np.random.SeedSequence(entropy=[master_seed, i, 1]),
             )
@@ -202,7 +201,7 @@ def cmd_simulate(params: dict, master_seed: int):
             )
         return tr
 
-    # no pool: runs hold the GIL (benchmark cycle 0.90-0.98 s on 2 threads, 0.57-0.77 s in order)
+    # no pool: runs hold the GIL, so threads would only add switching between them
     transcripts = [one_run(i) for i in range(seeds)]
     summary = protocol.rate_summary(transcripts, N)
     results = {

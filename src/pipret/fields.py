@@ -4,6 +4,10 @@ Everything downstream (the Markov analysis, the retrieval simulator, the
 Gram-matrix pipeline) consumes the objects defined here: a ``Database`` of K
 length-L files over F(q), the canonical ordering of the K(K+1)/2 unordered
 file pairs, and the vector of all pairwise inner products in that order.
+A ``Database`` may also hold nu independent instances stacked on a leading
+axis; its table then has one row of K(K+1)/2 inner products per instance,
+which is how the retrieval simulator gives each inner product a message
+length of nu symbols.
 
 All values are immutable after construction and all operations are pure
 functions, so instances can be shared freely across threads.
@@ -153,8 +157,12 @@ def inner_product(a: FieldVector, b: FieldVector) -> FieldElement:
 class Database:
     """K files of length L over F(q), the content replicated at every server.
 
-    Row k-1 of ``entries`` is the vector form of file W_k (files are 1-based
-    to match the pair indexing).
+    ``entries`` is K x L, or nu x K x L for nu independent instances of the
+    database stacked on a leading instance axis.  Row k-1 of an instance is
+    the vector form of file W_k (files are 1-based to match the pair
+    indexing); ``K`` and ``L`` read the last two axes.  ``compute_table``
+    takes either form, the single-instance accessors (``file``,
+    ``append_column``, ``save_csv``) only the K x L one.
     """
 
     q: int
@@ -163,22 +171,27 @@ class Database:
     def __post_init__(self):
         q = _check_prime_modulus(self.q)
         ent = np.asarray(self.entries)
-        if ent.ndim != 2 or ent.shape[0] < 1 or ent.shape[1] < 1:
-            raise ValueError("entries must be a K x L array with K, L >= 1")
+        if ent.ndim not in (2, 3) or 0 in ent.shape:
+            raise ValueError("entries must be a K x L or nu x K x L array with every axis >= 1")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "entries", np.mod(ent.astype(np.int64), q))
         self.entries.setflags(write=False)
 
     @property
     def K(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-2]
 
     @property
     def L(self) -> int:
-        return self.entries.shape[1]
+        return self.entries.shape[-1]
+
+    def _require_single(self, what: str) -> None:
+        if self.entries.ndim != 2:
+            raise ValueError(f"{what} needs a single database, not a stack of instances")
 
     def file(self, k: int) -> FieldVector:
         """File W_k as a field vector, k in [1, K]."""
+        self._require_single("file")
         if not 1 <= k <= self.K:
             raise ValueError(f"file index {k} out of range [1, {self.K}]")
         return FieldVector(self.entries[k - 1], self.q)
@@ -202,6 +215,7 @@ def random_database(q: int, K: int, L: int, seed) -> Database:
 
 def append_column(db: Database, column) -> Database:
     """Database with one fresh symbol appended to every file."""
+    db._require_single("append_column")
     col = np.asarray(column, dtype=np.int64).reshape(-1)
     if col.shape[0] != db.K:
         raise ValueError(f"column must have {db.K} entries")
@@ -295,7 +309,9 @@ class PairOrdering:
 
 @dataclass(frozen=True)
 class InnerProductVector:
-    """All pairwise inner products of a database, in canonical pair order."""
+    """All pairwise inner products of a database, in canonical pair order:
+    shape (T,), or (nu, T) with one row per instance of a stacked database,
+    where T = K(K+1)/2."""
 
     q: int
     K: int
@@ -304,7 +320,7 @@ class InnerProductVector:
     def __post_init__(self):
         q = _check_prime_modulus(self.q)
         vals = np.mod(np.asarray(self.values, dtype=np.int64), q)
-        if vals.shape != (pair_count(self.K),):
+        if vals.ndim not in (1, 2) or vals.shape[-1] != pair_count(self.K):
             raise ValueError(
                 f"expected {pair_count(self.K)} values for K={self.K}, got {vals.shape}"
             )
@@ -313,6 +329,8 @@ class InnerProductVector:
         self.values.setflags(write=False)
 
     def get(self, p: PairIndex) -> FieldElement:
+        if self.values.ndim != 1:
+            raise ValueError(f"get needs the table of a single database, not {self.values.shape}")
         return FieldElement(int(self.values[pair_rank(self.K, p)]), self.q)
 
 
@@ -328,7 +346,9 @@ def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
 
 def compute_table(db: Database) -> InnerProductVector:
     """The length-K(K+1)/2 vector of all pairwise inner products <W_i, W_j>
-    mod q, diagonal pairs included, in canonical pair order.
+    mod q, diagonal pairs included, in canonical pair order; for a stacked
+    database one such row per instance, shape (nu, K(K+1)/2), from one
+    batched product.
 
     Exact in int64: the columns go in blocks of floor((2**63 - 1) / (q-1)**2),
     so no block's dot product can pass 2**63 - 1, and the blocks' products
@@ -339,15 +359,16 @@ def compute_table(db: Database) -> InnerProductVector:
     q = db.q
     width = _INT64_MAX // (q - 1) ** 2
     if width:
-        first = E[:, :width]
-        gram = first @ first.T % q
+        first = E[..., :width]
+        gram = first @ first.swapaxes(-1, -2) % q
         for lo in range(width, db.L, width):
-            block = E[:, lo : lo + width]
-            gram = (gram + block @ block.T % q) % q
+            block = E[..., lo : lo + width]
+            gram = (gram + block @ block.swapaxes(-1, -2) % q) % q
     else:
-        gram = (E.astype(object) @ E.T.astype(object)) % q
+        E = E.astype(object)
+        gram = (E @ E.swapaxes(-1, -2)) % q
     iu, ju = _triangle(db.K)
-    return InnerProductVector(q, db.K, gram[iu, ju].astype(np.int64))
+    return InnerProductVector(q, db.K, gram[..., iu, ju].astype(np.int64))
 
 
 # --- serialization ------------------------------------------------------------
@@ -356,6 +377,7 @@ def compute_table(db: Database) -> InnerProductVector:
 def save_csv(db: Database, path) -> None:
     """Write a database as CSV: line 1 holds ``q,K,L``, then K rows of L
     comma-separated integers."""
+    db._require_single("save_csv")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{db.q},{db.K},{db.L}\n")
         for row in db.entries:

@@ -391,7 +391,7 @@ def private_gram(
     if scheme is None:
         scheme = protocol.FullDownloadScheme()
     db = encode_dataset(X, codec)
-    space, data = protocol.virtual_data_from_databases([db])
+    space, data = protocol.virtual_data_from_databases(db)
     transcript = protocol.run_retrieval(scheme, space, n_servers, range(space.T), data, seed)
     ipv = InnerProductVector(db.q, db.K, transcript.decoded[:, 0])
     return decode_gram(ipv, codec), transcript

@@ -2,9 +2,10 @@
 
 Messages here are *virtual files*: T retrievable units of nu symbols each
 over F(q), replicated at every server.  When derived from a database, the
-r-th virtual file holds the inner product of the r-th canonical pair across
-nu independent database instances, which gives each inner product a genuine
-message length so measured rates are comparable to the closed-form bounds.
+r-th virtual file holds the inner product of the r-th canonical pair in each
+of the nu instances of a stacked ``Database`` (one table row per instance),
+which gives each inner product a genuine message length so measured rates
+are comparable to the closed-form bounds.
 
 A scheme turns a request (sorted virtual-file indices, which
 ``run_retrieval`` passes as an integer array) into one query per server.  A
@@ -44,7 +45,7 @@ import numpy as np
 import scipy.stats
 
 from .bounds import BoundQuery, inverse_rate_achievable, inverse_rate_converse
-from .fields import PairIndex, _check_prime_modulus, compute_table, pair_count, pair_rank
+from .fields import Database, PairIndex, _check_prime_modulus, compute_table, pair_count, pair_rank
 
 MIN_AUDIT_SAMPLES = 10_000
 # permutation entries (samples * P * T * nu) drawn per chunk of a batched tally
@@ -107,8 +108,11 @@ class SumBlock:
         files, indices, starts = arrays
         if any(a.ndim != 1 for a in arrays) or len(files) != len(indices):
             raise ValueError("files and indices must be 1-D arrays of one length")
-        bounds = np.append(starts, len(files))
-        if bounds[0] != 0 or (np.diff(bounds) <= 0).any():
+        if len(starts):
+            valid = starts[0] == 0 and starts[-1] < len(files) and (starts[1:] > starts[:-1]).all()
+        else:
+            valid = not len(files)
+        if not valid:
             raise ValueError("starts must rise from 0 and give every sum a term")
         for name, a in zip(("files", "indices", "starts"), arrays):
             a.flags.writeable = False
@@ -208,9 +212,11 @@ class RetrievalScheme(abc.ABC):
             if not len(block):
                 out.append(values)
                 continue
-            longest = int(np.diff(block.starts, append=len(values)).max())
-            if (q - 1) * longest > _INT64_MAX:
-                values = values.astype(object)
+            # the longest sum is looked for only where all the terms together could wrap
+            if (q - 1) * len(values) > _INT64_MAX:
+                longest = int(np.diff(block.starts, append=len(values)).max())
+                if (q - 1) * longest > _INT64_MAX:
+                    values = values.astype(object)
             out.append((np.add.reduceat(values, block.starts) % q).astype(np.int64))
         return out
 
@@ -552,10 +558,11 @@ class RepeatedPirScheme(RetrievalScheme):
     def query(self, space, n_servers, request, rng) -> QueryPlan:
         self.check_supports(space, n_servers)
         T, nu = space.T, space.nu
+        # consumes the generator exactly like P*T sequential rng.permutation(nu) calls
+        all_perms = rng.permuted(np.broadcast_to(np.arange(nu), (len(request), T, nu)), axis=-1)
         server_blocks = [[] for _ in range(n_servers)]
         runs = []
-        for theta in request:
-            perms = np.stack([rng.permutation(nu) for _ in range(T)])
+        for theta, perms in zip(request, all_perms):
             for blocks, sums in zip(server_blocks, _run_layout(T, n_servers, theta).sums):
                 blocks.append(SumBlock(sums.files, perms[sums.files, sums.indices], sums.starts))
             runs.append((theta, perms[theta]))
@@ -720,33 +727,26 @@ def run_retrieval(
     )
 
 
-def virtual_data_from_databases(databases) -> tuple[VirtualFileSpace, np.ndarray]:
-    """Stack the inner-product tables of nu database instances into the
-    (T, nu) virtual-file array."""
-    if not databases:
-        raise ValueError("need at least one database instance")
-    first = databases[0]
-    for db in databases:
-        if db.q != first.q or db.K != first.K:
-            raise ValueError("database instances must share q and K")
-    tables = [compute_table(db).values for db in databases]
-    data = np.stack(tables, axis=1)
-    space = VirtualFileSpace(T=pair_count(first.K), q=first.q, nu=len(databases))
-    return space, data
+def virtual_data_from_databases(db: Database) -> tuple[VirtualFileSpace, np.ndarray]:
+    """The (T, nu) virtual-file array of a database: column n is the
+    inner-product table of instance n of a stacked (nu, K, L) database, and
+    a single (K, L) database gives the one column of its table."""
+    T = pair_count(db.K)
+    data = compute_table(db).values.reshape(-1, T).T
+    return VirtualFileSpace(T=T, q=db.q, nu=data.shape[1]), data
 
 
 def retrieve_pairs(
     scheme: RetrievalScheme,
     pairs: PairSet,
-    databases,
+    db: Database,
     n_servers: int,
     seed=0,
 ) -> RetrievalTranscript:
-    """Retrieve the inner products of ``pairs`` across the given database
-    instances (one virtual symbol per instance)."""
-    space, data = virtual_data_from_databases(databases)
-    request = pairs.ranks(databases[0].K)
-    return run_retrieval(scheme, space, n_servers, request, data, seed)
+    """Retrieve the inner products of ``pairs`` across the instances of a
+    (possibly stacked) database, one virtual symbol per instance."""
+    space, data = virtual_data_from_databases(db)
+    return run_retrieval(scheme, space, n_servers, pairs.ranks(db.K), data, seed)
 
 
 def measure_rate(transcripts) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -316,6 +317,24 @@ def test_reports_byte_identical_for_same_config():
         assert status == EXIT_OK
         texts.append(render_report(report, config.fmt))
     assert texts[0] == texts[1]
+
+
+def test_simulate_repeated_pir_report_is_pinned():
+    """The rendered report of one database-mode repeated_pir simulation,
+    pinned by digest: the database draws, the tables and the queries' index
+    draws all reach its bytes.  Any change to how they are drawn or computed
+    changes the digest; so does a new package version."""
+    args = build_parser().parse_args(
+        ["simulate", "--scheme", "repeated_pir", "--K", "3", "--q", "5", "--N", "2",
+         "--P", "2", "--seeds", "3"]
+    )
+    config = resolve_config(args)
+    report, status = dispatch(config)
+    assert status == EXIT_OK
+    text = render_report(report, config.fmt)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "12b6782b06cf7e5308b90d1d241ae8e97428002cd723ed51fb4852582d6ba30c"
+    )
 
 
 def test_capacity_reports_byte_identical_with_pool(monkeypatch):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pipret import fields
@@ -233,6 +233,54 @@ def test_compute_table_matches_integer_oracle_across_column_blocks(q, width):
             Database(q, rng.integers(0, q, size=(5, L), dtype=np.int64)),
         ):
             assert compute_table(db).values.tolist() == _table_oracle(db)
+
+
+@pytest.mark.parametrize("q", [2, 5, 10**9 + 7, 2**61 - 1])
+@settings(max_examples=25, deadline=None)
+@given(
+    nu=st.integers(1, 5),
+    K=st.integers(1, 4),
+    L=st.integers(1, 30),
+    extreme=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nu=1, K=3, L=20, extreme=True, seed=0)
+@example(nu=4, K=4, L=29, extreme=False, seed=1)
+def test_compute_table_of_a_stack_is_the_stack_of_tables(q, nu, K, L, extreme, seed):
+    """One call on a (nu, K, L) stack gives each instance's table as a row:
+    at q = 10**9+7 L runs past the 9-column int64 block, and q = 2**61-1
+    takes the Python-integer path."""
+    if extreme:
+        E = np.full((nu, K, L), q - 1, dtype=np.int64)
+    else:
+        E = np.random.default_rng(seed).integers(0, q, size=(nu, K, L), dtype=np.int64)
+    stacked = compute_table(Database(q, E))
+    assert stacked.values.shape == (nu, pair_count(K))
+    want = np.stack([compute_table(Database(q, e)).values for e in E])
+    assert stacked.values.tolist() == want.tolist()
+    assert stacked.values[0].tolist() == _table_oracle(Database(q, E[0]))
+
+
+@pytest.mark.parametrize(
+    "shape", [(3,), (2, 2, 2, 2), (0, 3), (2, 0), (0, 2, 3), (2, 0, 3), (2, 3, 0)]
+)
+def test_database_rejects_entries_of_the_wrong_rank_or_an_empty_axis(shape):
+    with pytest.raises(ValueError, match="every axis >= 1"):
+        Database(5, np.zeros(shape, dtype=np.int64))
+
+
+def test_single_instance_accessors_reject_a_stack(tmp_path):
+    db = Database(5, np.arange(24).reshape(2, 3, 4))
+    assert (db.K, db.L) == (3, 4)
+    with pytest.raises(ValueError, match="single"):
+        db.file(1)
+    with pytest.raises(ValueError, match="single"):
+        append_column(db, [1, 2, 3])
+    with pytest.raises(ValueError, match="single"):
+        save_csv(db, tmp_path / "db.csv")
+    assert not (tmp_path / "db.csv").exists()
+    with pytest.raises(ValueError, match="single"):
+        compute_table(db).get(PairIndex(1, 2))
 
 
 def test_table_permutation_symmetry():

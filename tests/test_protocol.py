@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from pipret import protocol
 
 from pipret.bounds import BoundQuery, inverse_rate_converse, single_message_inverse_rate
-from pipret.fields import PairIndex, compute_table, pair_count, random_database
+from pipret.fields import Database, PairIndex, compute_table, pair_count, random_database
 from pipret.protocol import (
     DecodeMismatchError,
     FullDownloadScheme,
@@ -37,7 +37,7 @@ from pipret.protocol import (
     run_retrieval,
     virtual_data_from_databases,
 )
-from pipret.protocol import _empty_tally, _pir_run_structure
+from pipret.protocol import _empty_tally, _pir_run_structure, _run_layout
 
 
 def _random_data(space, seed=0):
@@ -258,6 +258,25 @@ def test_repeated_pir_decodes_exactly_at_the_closed_form_download(data):
     )
 
 
+@pytest.mark.parametrize("T,N,P", [(3, 2, 1), (3, 2, 2), (3, 2, 3), (2, 3, 2), (4, 2, 3)])
+def test_repeated_pir_query_draws_like_sequential_permutations(T, N, P):
+    """The query's one batched draw gives the indices that T permutations
+    drawn one by one per run give, and leaves the generator where they do."""
+    nu = N**T
+    space = VirtualFileSpace(T=T, q=5, nu=nu)
+    request = np.arange(T - P, T)
+    rng, twin = np.random.default_rng(100 + P), np.random.default_rng(100 + P)
+    plan = RepeatedPirScheme().query(space, N, request, rng)
+    for r, theta in enumerate(request):
+        perms = np.stack([twin.permutation(nu) for _ in range(T)])
+        for n, sums in enumerate(_run_layout(T, N, theta).sums):
+            block = plan.server_queries[n][r]
+            assert block.indices.tolist() == perms[sums.files, sums.indices].tolist()
+        assert plan.state[r][0] == theta
+        assert plan.state[r][1].tolist() == perms[theta].tolist()
+    assert rng.integers(0, 2**62, size=4).tolist() == twin.integers(0, 2**62, size=4).tolist()
+
+
 def test_repeated_pir_unsupported_params():
     sch = RepeatedPirScheme()
     with pytest.raises(UnsupportedParameters):
@@ -352,30 +371,41 @@ def test_run_retrieval_validation():
 # --- database-derived runs ----------------------------------------------------------
 
 
+def _stacked_database(q, K, L, nu):
+    """The nu instances random_database(q, K, L, seed=s), s < nu, as one stack."""
+    return Database(q, np.stack([random_database(q, K, L, seed=s).entries for s in range(nu)]))
+
+
 def test_retrieve_pairs_matches_table():
-    dbs = [random_database(5, 3, 4, seed=s) for s in range(3)]
+    db = _stacked_database(5, 3, 4, nu=3)
     pairs = PairSet({PairIndex(1, 2), PairIndex(3, 3)})
-    tr = retrieve_pairs(FullDownloadScheme(), pairs, dbs, 2, seed=1)
-    tables = [compute_table(db).values for db in dbs]
-    for col, table in enumerate(tables):
+    tr = retrieve_pairs(FullDownloadScheme(), pairs, db, 2, seed=1)
+    for col, entries in enumerate(db.entries):
+        table = compute_table(Database(5, entries)).values
         for row, rank in enumerate(pairs.ranks(3)):
             assert tr.decoded[row, col] == table[rank]
 
 
 def test_retrieve_pairs_with_repeated_pir():
-    dbs = [random_database(2, 2, 3, seed=s) for s in range(8)]  # nu = 8 = 2^T
+    db = _stacked_database(2, 2, 3, nu=8)  # nu = 8 = 2^T
     pairs = PairSet({PairIndex(1, 2)})
-    tr = retrieve_pairs(RepeatedPirScheme(), pairs, dbs, 2, seed=4)
+    tr = retrieve_pairs(RepeatedPirScheme(), pairs, db, 2, seed=4)
     assert tr.inverse_rate == pytest.approx(1.75)
 
 
-def test_virtual_data_requires_consistent_instances():
-    with pytest.raises(ValueError, match="share"):
-        virtual_data_from_databases(
-            [random_database(5, 2, 3, seed=0), random_database(7, 2, 3, seed=0)]
-        )
-    with pytest.raises(ValueError, match="at least one"):
-        virtual_data_from_databases([])
+@pytest.mark.parametrize("q,K,L,nu", [(5, 3, 4, 3), (2, 2, 3, 8), (10**9 + 7, 4, 11, 1)])
+def test_virtual_data_columns_are_the_instance_tables(q, K, L, nu):
+    db = _stacked_database(q, K, L, nu)
+    space, data = virtual_data_from_databases(db)
+    assert space == VirtualFileSpace(T=pair_count(K), q=q, nu=nu)
+    assert data.shape == (pair_count(K), nu)
+    for n, entries in enumerate(db.entries):
+        assert data[:, n].tolist() == compute_table(Database(q, entries)).values.tolist()
+    # a single database is the one-column case
+    single = Database(q, db.entries[0])
+    space, data = virtual_data_from_databases(single)
+    assert data.shape == (pair_count(K), 1) and space.nu == 1
+    assert data[:, 0].tolist() == compute_table(single).values.tolist()
 
 
 def test_pair_set_validation():
