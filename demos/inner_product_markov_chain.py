@@ -5,10 +5,11 @@ Appending one uniform column to every file adds an increment vector to the
 table of all pairwise inner products.  The script builds that increment
 law, checks the walk's transition matrix is doubly stochastic, reads the
 whole spectrum off a group Fourier transform, verifies it against a dense
-eigensolver, decides irreducibility on the few congruence classes of the
-table and backs it with explicit 5-column witnesses, and watches the
-distribution contract to uniform at exactly lambda2 per step, on all q^T
-tables and on their congruence classes.
+eigensolver and lambda2 against its closed form q^(-1/2), decides
+irreducibility on the few congruence classes of the table and backs it
+with explicit 5-column witnesses, and watches the distribution contract to
+uniform at exactly lambda2 per step, on all q^T tables and on their
+congruence classes.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from pipret.spectral import (
     delta_distribution,
     evolve,
     is_irreducible,
+    lambda2,
     reachability_witness,
     spectrum_dense_oracle,
     spectrum_via_characters,
@@ -53,13 +55,13 @@ print(f"  ||M pi - pi||_inf  : {np.max(np.abs(M @ pi - pi)):.2e}")
 
 print()
 print("=" * 72)
-print("3. Spectrum by characters, cross-checked against dense eigensolver")
+print("3. Spectrum by characters, cross-checked against dense eigensolver and closed form")
 print("=" * 72)
 spec = spectrum_via_characters(d)
 dense = spectrum_dense_oracle(transition_dense(q, K))
-print(f"  lambda2 (characters): {spec.lambda2:.12f}")
-print(f"  lambda2 (dense)     : {dense.lambda2:.12f}")
-print(f"  1/sqrt(3)           : {1 / np.sqrt(3):.12f}")
+print(f"  lambda2 (characters) : {spec.lambda2!r}")
+print(f"  lambda2 (dense)      : {dense.lambda2!r}")
+print(f"  lambda2 (closed form): {lambda2(q, K)!r}  (q^(-1/2), correctly rounded)")
 
 print()
 print("=" * 72)
@@ -95,7 +97,7 @@ print(f"  {'L':>3} {'sup dist':>12} {'l2 dist':>12} {'l2 ratio':>10}")
 for L in range(1, 17):
     ratio = trace.l2_dists[L - 1] / trace.l2_dists[L - 2] if L > 1 else float("nan")
     print(f"  {L:>3} {trace.sup_dists[L-1]:>12.3e} {trace.l2_dists[L-1]:>12.3e} {ratio:>10.6f}")
-print(f"  fitted decay rate: {trace.fitted_rate:.6f} (lambda2 = {spec.lambda2:.6f})")
+print(f"  fitted decay rate: {trace.fitted_rate:.6f} (lambda2 = {lumped.lambda2:.6f})")
 
 print()
 print("=" * 72)

@@ -61,6 +61,7 @@ from .spectral import (
     delta_distribution,
     evolve,
     is_irreducible,
+    lambda2,
     reachability_witness,
     spectrum_dense_oracle,
     spectrum_via_characters,

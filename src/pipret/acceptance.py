@@ -56,6 +56,12 @@ def criterion_spectral_exactness(master_seed: int) -> dict:
     dense32 = spectral.spectrum_dense_oracle(spectral.transition_dense(3, 2)).lambda2
     checks.append(("characters match dense at (3,2)", abs(lam32 - dense32) < 1e-8))
     checks.append(("lambda2(3,2) near 0.57735", abs(lam32 - 1 / math.sqrt(3)) < 1e-9))
+    # the closed form that spectrum, converge and simulate report
+    for (q, K), dense in (((2, 2), dense22), ((3, 2), dense32)):
+        checks.append((
+            f"closed-form lambda2 matches dense at ({q},{K})",
+            abs(spectral.lambda2(q, K) - dense) < 1e-12,
+        ))
     return {
         "checks": checks,
         "lambda2_22": lam22,

@@ -147,7 +147,12 @@ def solve_root_coefficients(bq: BoundQuery) -> RootCoefficients:
         raise ValueError("root/coefficient system requires N >= 2")
     with _MP_LOCK, mp.workdps(_working_dps(K)):
         roots, beta = _closed_form_system(K, P, N)
-        resid = [mp.fsum(b * r**-k for b, r in zip(beta, roots)) for k in range(1, P + 1)]
+        # the terms beta_i r_i**-k by running products with x_i = 1/r_i
+        xs = [1 / r for r in roots]
+        terms, resid = beta, []
+        for _ in range(P):
+            terms = [t * x for t, x in zip(terms, xs)]
+            resid.append(mp.fsum(terms))
         resid[-1] -= mp.mpf(N - 1) ** (K - P)
         max_residual = float(max(abs(v) for v in resid))
     if max_residual >= RESIDUAL_TOL:

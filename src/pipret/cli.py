@@ -126,14 +126,12 @@ def cmd_capacity(params: dict, master_seed: int):
 
 def cmd_spectrum(params: dict, master_seed: int):
     q, K = int(params["q"]), int(params["K"])
-    d = spectral.delta_distribution(q, K)
-    spec = spectral.spectrum_via_characters(d)
     rep = spectral.is_irreducible(q, K)
     return {
         "q": q,
         "K": K,
-        "T": d.T,
-        "lambda2": spec.lambda2,
+        "T": pair_count(K),
+        "lambda2": spectral.lambda2(q, K),
         "irreducible": rep.irreducible,
         "gamma_all_positive": rep.gamma_all_positive,
     }, EXIT_OK
@@ -218,18 +216,14 @@ def cmd_simulate(params: dict, master_seed: int):
         ],
     }
     if K is not None:
-        Kf = int(K)
-        if q ** pair_count(Kf) <= spectral.ENUMERATION_LIMIT:
-            lam2 = spectral.spectrum_via_characters(
-                spectral.delta_distribution(q, Kf)
-            ).lambda2
-            cb = bounds.theorem1_bounds(Kf, P, N, L=L, lambda2=lam2, c=1.0)
-            results["theorem_bracket"] = {
-                "lambda2": lam2,
-                "L": L,
-                "bracket_low": cb.bracket[0],
-                "bracket_high": cb.bracket[1],
-            }
+        lam2 = spectral.lambda2(q, int(K))
+        cb = bounds.theorem1_bounds(int(K), P, N, L=L, lambda2=lam2, c=1.0)
+        results["theorem_bracket"] = {
+            "lambda2": lam2,
+            "L": L,
+            "bracket_low": cb.bracket[0],
+            "bracket_high": cb.bracket[1],
+        }
     return results, EXIT_OK
 
 

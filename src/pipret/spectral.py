@@ -9,11 +9,16 @@ its unique stationary law, and a spectral gap that controls how fast the
 table forgets its initial distribution.
 
 Because the transition operator depends only on state differences, it is a
-convolution operator on the group and its full spectrum is the multi-
-dimensional discrete Fourier transform of the increment distribution: an
-O(q^T log q^T) computation instead of an O(q^(3T)) eigendecomposition.
-The dense matrix path is retained purely as a brute-force oracle for tests
-and acceptance.
+convolution operator on the group and its eigenvalues are the character
+sums of the increment law.  The character of a symmetric matrix C sums to
+a Gauss sum of the quadratic form x^T C x, of modulus q^(-rank(C)/2) for
+odd q; for q = 2 it is 2^(-h) when the polar form of C has rank 2h and the
+form vanishes on its radical, and 0 otherwise.  So ``lambda2``, the
+second largest modulus, is q^(-1/2) for odd q, 1/2 for q = 2 and K >= 2,
+and 0 at (2,1), and it is computed as the correctly rounded double of
+that closed form.  The q^T-point Fourier transform of the increment law
+(``spectrum_via_characters``) and the dense matrix (``transition_dense``)
+are brute-force oracles for tests and acceptance.
 
 Irreducibility, strict positivity of M^(5T) and the distances to uniform
 that ``converge`` reports come from the walk lumped onto congruence
@@ -25,12 +30,15 @@ on congruence classes, and the walk is strongly lumpable onto them
 (Kemeny and Snell, Finite Markov Chains, 1960).  The classes are the rank
 and the square class of the discriminant of the nondegenerate part for
 odd q, 2K + 1 of them, and the rank and whether the matrix is alternating
-for q = 2, 1 + K + floor(K/2) of them (MacWilliams, "Orthogonal matrices
-over finite fields", Amer. Math. Monthly 76, 1969, which also counts
-them).  ``is_irreducible`` walks the level sets of the support as sets of
-classes, and ``class_trace`` evolves the class masses in integers, so
-both are exact at every size, and every row at every length, for a
-handful of big-integer products per step.
+for q = 2, 1 + K + floor(K/2) of them.  Their sizes are MacWilliams'
+counts ("Orthogonal matrices over finite fields", Amer. Math. Monthly 76,
+1969): a Gaussian binomial for the radical times the number of
+nondegenerate forms of the class, |GL_r| over the order of the form's
+isometry group.  The transition counts enumerate the q^K columns, never
+the q^T tables.  ``is_irreducible`` walks the level sets of the support
+as sets of classes, and ``class_trace`` evolves the class masses in
+integers, so both are exact at every size, and every row at every length,
+for a handful of big-integer products per step.
 
 ``evolve`` keeps the per-state laws, which subset entropies need, and is
 the reference for the class chain.  It is exact in integers while
@@ -49,7 +57,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -65,7 +72,7 @@ from .fields import (
     pair_unrank,
 )
 
-ENUMERATION_LIMIT = 2**20   # largest q^T enumerated for distributions
+ENUMERATION_LIMIT = 2**20   # largest q^T tables or q^K columns enumerated
 DENSE_LIMIT = 2**12         # largest q^T materialized as a dense matrix
 EXACT_EVOLVE_LIMIT = 2**12  # largest q^T evolved in exact integer arithmetic
 MAX_TRACE_LENGTH = 1000
@@ -196,6 +203,27 @@ def spectrum_dense_oracle(m: TransitionOperator) -> Spectrum:
     mods = np.sort(np.abs(eig))[::-1]
     lambda2 = float(mods[1]) if len(mods) > 1 else 0.0
     return Spectrum(eigenvalues=eig, lambda2=lambda2)
+
+
+def lambda2(q: int, K: int) -> float:
+    """Second largest eigenvalue modulus of the walk, correctly rounded.
+
+    It is q**(-1/2) for odd q, 1/2 for q = 2 with K >= 2 and 0 at (2, 1)
+    (see the module docstring).  For odd q, X = 2**(h+1) * q**(-1/2) is
+    irrational, so it lies strictly between R = floor(X) =
+    isqrt(floor(4**(h+1) / q)) and R + 1.  With R >= 2**54, every midpoint
+    between adjacent doubles near X is an integer, so X and R + 1/2 round
+    alike, and the odd integer 2R + 1 converts to a double without a tie.
+    Raises ValueError for a non-prime q or K < 1.
+    """
+    q = _check_prime_modulus(q)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    if q == 2:
+        return 0.5 if K >= 2 else 0.0
+    h = 64 + q.bit_length()
+    R = math.isqrt((1 << 2 * h + 2) // q)
+    return math.ldexp(float(2 * R + 1), -(h + 2))
 
 
 # --- irreducibility -----------------------------------------------------------
@@ -344,9 +372,8 @@ class ConvergenceTrace:
     float one, so a sup distance at or below its floor is rounding noise.
     The fit models l2_dist(L) ~ c * rate**(L-1) by least squares on the
     log distances over the last half of the trace.  ``lambda2`` is the
-    second largest eigenvalue modulus, the value
-    ``spectrum_via_characters`` reports (on a float trace, taken from the
-    float path's own transform).
+    second largest eigenvalue modulus: the closed form ``lambda2`` on a
+    ``class_trace``, the oracle transform's value on an ``evolve`` trace.
     """
 
     q: int
@@ -599,13 +626,16 @@ def class_chain(q: int, K: int) -> ClassChain:
     For q = 2 the diagonal of S + x x^T is diag(S) + x, since x_i**2 = x_i,
     so the new table is alternating iff x = diag(S).
 
-    The sizes are n * pi for the class chain's stationary law pi, the image
-    of the uniform law, solved over the rationals; ArithmeticError is
-    raised if one is not a positive integer.  Raises ValueError for a
-    non-prime q or q^T beyond the enumeration guard.
+    The sizes are MacWilliams' counts (``_class_sizes``).  They are the
+    image of the uniform law on the tables, so they must sum to q^T and
+    satisfy sizes @ counts = q**K * sizes; both are checked in integers,
+    and ArithmeticError is raised if either fails.  Raises ValueError for a
+    non-prime q or for q^K columns beyond ``ENUMERATION_LIMIT``.
     """
     q = _check_prime_modulus(q)
-    _, n = _state_count(q, K)
+    columns = q**K
+    if columns > ENUMERATION_LIMIT:
+        raise ValueError(f"q^K = {columns} columns exceeds {ENUMERATION_LIMIT}")
     if q == 2:
         labels = sorted([(0, "a")] + [(r, "n") for r in range(1, K + 1)]
                         + [(r, "a") for r in range(2, K + 1, 2)])
@@ -641,34 +671,62 @@ def class_chain(q: int, K: int) -> ClassChain:
             factor = np.where(grows, True, np.where(s != 0, square[s], square[q - 1]))
             top = (factor == (kind == "+")) | (rank == 0)
         counts[a] = np.bincount(lookup[rank, top.astype(np.int64)], minlength=len(labels))
-    return ClassChain(q=q, K=K, labels=tuple(labels), counts=counts,
-                      sizes=_stationary_sizes(counts, n))
+    sizes = _class_sizes(q, K, labels)
+    into = counts.T.tolist()
+    if sum(sizes) != q ** pair_count(K) or any(
+        sum(s * c for s, c in zip(sizes, col)) != columns * size
+        for col, size in zip(into, sizes)
+    ):
+        raise ArithmeticError(f"class sizes {sizes} are not stationary for the class chain")
+    return ClassChain(q=q, K=K, labels=tuple(labels), counts=counts, sizes=sizes)
 
 
-def _stationary_sizes(counts: np.ndarray, n: int) -> tuple[int, ...]:
-    """n * pi for the law pi with pi @ counts = q**K * pi, over Fractions.
+def _class_sizes(q: int, K: int, labels) -> tuple[int, ...]:
+    """Number of symmetric K x K tables in each class (MacWilliams 1969).
 
-    The rows of ``counts`` sum to q**K, so one balance equation is implied
-    by the others; the last one is replaced by sum(n * pi) = n.
+    A table of rank r is a nondegenerate form on F(q)^K modulo its
+    (K - r)-dimensional radical, so class (r, kind) holds [K r]_q
+    radicals, the Gaussian binomial, times the nondegenerate r x r forms
+    of that kind; those are one orbit of GL_r, so they number |GL_r| / |G|
+    for G the isometry group of one of them.
+    - odd q, r = 2m + 1: G = O_(2m+1), of order 2 q**(m*m) prod_(i<=m)
+      (q**(2i) - 1), for either discriminant class.
+    - odd q, r = 2m: G = O^e_(2m), of order 2 q**(m(m-1)) (q**m - e)
+      prod_(i<m) (q**(2i) - 1), with e = +1 for the hyperbolic form, whose
+      discriminant is (-1)**m; so e = eta((-1)**m) eta(disc), eta the
+      quadratic character and eta(-1) = +1 iff q = 1 mod 4.
+    - q = 2: the alternating forms (r = 2m) are one orbit with G = Sp_(2m),
+      of order q**(m*m) prod_(i<=m) (q**(2i) - 1); the others, for any
+      r = 2m or 2m + 1, are the rest of MacWilliams' N(r, r) =
+      q**(m(m+1)) prod_(i<=r) (q**i - 1) / prod_(i<=m) (q**(2i) - 1)
+      nondegenerate symmetric r x r matrices.
     """
-    m = len(counts)
-    step = int(counts[0].sum())
-    rows = [
-        [Fraction(int(counts[a, b]) - step * (a == b)) for a in range(m)] + [Fraction(0)]
-        for b in range(m - 1)
-    ]
-    rows.append([Fraction(1)] * m + [Fraction(n)])
-    for c in range(m):
-        p = next(r for r in range(c, m) if rows[r][c])
-        rows[c], rows[p] = rows[p], [v / rows[p][c] for v in rows[p]]
-        for r in range(m):
-            if r != c and rows[r][c]:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
-    sizes = [row[-1] for row in rows]
-    if any(s.denominator != 1 or s <= 0 for s in sizes):
-        raise ArithmeticError(f"class sizes {sizes} are not positive integers")
-    return tuple(int(s) for s in sizes)
+
+    def gl(r):
+        return math.prod(q**r - q**i for i in range(r))
+
+    def units(m):  # prod_(i<=m) (q**(2i) - 1)
+        return math.prod(q ** (2 * i) - 1 for i in range(1, m + 1))
+
+    sizes = []
+    for r, kind in labels:
+        radicals = math.prod(q ** (K - i) - 1 for i in range(r)) // math.prod(
+            q**i - 1 for i in range(1, r + 1)
+        )
+        m = r // 2
+        if r == 0:
+            forms = 1
+        elif q == 2:
+            alternating = gl(r) // (q ** (m * m) * units(m)) if r % 2 == 0 else 0
+            symmetric = q ** (m * (m + 1)) * math.prod(q**i - 1 for i in range(1, r + 1)) // units(m)
+            forms = alternating if kind == "a" else symmetric - alternating
+        elif r % 2:
+            forms = gl(r) // (2 * q ** (m * m) * units(m))
+        else:
+            e = 1 if (kind == "+") == (m % 2 == 0 or q % 4 == 1) else -1
+            forms = gl(r) // (2 * q ** (m * (m - 1)) * (q**m - e) * units(m - 1))
+        sizes.append(radicals * forms)
+    return tuple(sizes)
 
 
 def class_trace(q: int, K: int, L_max: int) -> ConvergenceTrace:
@@ -681,14 +739,14 @@ def class_trace(q: int, K: int, L_max: int) -> ConvergenceTrace:
     formed from exact integers as in the exact per-state path, so the rows
     equal its rows bit for bit wherever it runs, and stay exact at every
     size and L_max beyond it.  ``sup_floors`` are 0, ``distributions`` is
-    None and ``lambda2`` is the one ``spectrum_via_characters`` reports.
-    Raises the ValueErrors of ``delta_distribution`` and ``evolve``.
+    None and ``lambda2`` is the closed form ``lambda2(q, K)``; no q^T
+    enumeration or transform runs.  Raises the ValueErrors of
+    ``class_chain``, and ValueError for L_max outside [1, MAX_TRACE_LENGTH].
     """
-    d = delta_distribution(q, K)
+    chain = class_chain(q, K)
     if not 1 <= L_max <= MAX_TRACE_LENGTH:
         raise ValueError(f"L_max must lie in [1, {MAX_TRACE_LENGTH}]")
-    chain = class_chain(q, K)
-    n = q**d.T
+    n = q ** pair_count(K)
     step = q**K
     into = [[(a, int(w)) for a, w in enumerate(col) if w] for col in chain.counts.T]
     mass = [int(w) for w in chain.counts[0]]
@@ -722,7 +780,7 @@ def class_trace(q: int, K: int, L_max: int) -> ConvergenceTrace:
         fitted_constant=const,
         distributions=None,
         exact=True,
-        lambda2=spectrum_via_characters(d).lambda2,
+        lambda2=lambda2(q, K),
     )
 
 
@@ -801,6 +859,7 @@ __all__ = [
     "Spectrum",
     "spectrum_via_characters",
     "spectrum_dense_oracle",
+    "lambda2",
     "IrreducibilityReport",
     "is_irreducible",
     "sum_two_squares",

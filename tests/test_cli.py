@@ -333,7 +333,7 @@ def test_simulate_repeated_pir_report_is_pinned():
     assert status == EXIT_OK
     text = render_report(report, config.fmt)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "12b6782b06cf7e5308b90d1d241ae8e97428002cd723ed51fb4852582d6ba30c"
+        "42f437000723b86b33f757b286be9bb045a96e5d4c7bd03d6615370f62c3d8fe"
     )
 
 
@@ -442,3 +442,39 @@ def test_converge_rows_are_exact_beyond_the_per_state_limit(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6
     assert all(line.endswith(",True,0.0") for line in lines[1:])
+
+
+def test_simulate_reports_the_bracket_beyond_the_table_limit(capsys):
+    # q^T = 2^21 tables at K = 6; lambda2 needs no enumeration of them
+    code, out, err = _run(
+        ["simulate", "--scheme", "full_download", "--K", "6", "--q", "2", "--N", "2",
+         "--nu", "2", "--L", "4", "--seeds", "2"],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    bracket = json.loads(out)["results"]["theorem_bracket"]
+    assert bracket["lambda2"] == 0.5 and bracket["L"] == 4
+    cb = bounds.theorem1_bounds(6, 1, 2, L=4, lambda2=0.5, c=1.0)
+    assert (bracket["bracket_low"], bracket["bracket_high"]) == cb.bracket
+
+
+def test_spectral_commands_never_call_the_oracles(monkeypatch, capsys):
+    def oracle(*args, **kwargs):
+        raise AssertionError("an oracle ran on the production path")
+
+    monkeypatch.setattr(spectral, "delta_distribution", oracle)
+    monkeypatch.setattr(spectral, "spectrum_via_characters", oracle)
+    for argv in (
+        ["spectrum", "--q", "5", "--K", "3"],
+        ["spectrum", "--q", "11", "--K", "3"],
+        ["converge", "--q", "7", "--K", "3", "--Lmax", "5"],
+        ["converge", "--q", "2", "--K", "8", "--Lmax", "5"],
+        ["simulate", "--scheme", "repeated_pir", "--K", "3", "--q", "5", "--N", "2",
+         "--seeds", "2"],
+    ):
+        code, _, err = _run(argv, capsys)
+        assert code == EXIT_OK, (argv, err)
+    code, out, _ = _run(["spectrum", "--q", "11", "--K", "3"], capsys)
+    res = json.loads(out)["results"]
+    assert res == {"q": 11, "K": 3, "T": 6, "lambda2": spectral.lambda2(11, 3),
+                   "irreducible": True, "gamma_all_positive": True}

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pipret.spectral import (
     envelope_constant,
     evolve,
     is_irreducible,
+    lambda2,
     reachability_witness,
     spectrum_dense_oracle,
     spectrum_via_characters,
@@ -32,6 +34,7 @@ from pipret.spectral import (  # float fallback cross-checks
     _float_sup_floors,
     _increment_transform,
 )
+from pipret.spectral import DENSE_LIMIT, _class_sizes
 
 
 def _counts_by_digits(d):
@@ -635,7 +638,9 @@ def test_class_trace_rows_equal_the_exact_per_state_rows(q, K):
     assert ref.exact and trace.exact
     np.testing.assert_array_equal(trace.sup_dists, ref.sup_dists)
     np.testing.assert_array_equal(trace.l2_dists, ref.l2_dists)
-    assert trace.lambda2 == ref.lambda2 == spectrum_via_characters(d).lambda2
+    assert trace.lambda2 == lambda2(q, K)
+    assert ref.lambda2 == spectrum_via_characters(d).lambda2
+    assert ref.lambda2 == pytest.approx(trace.lambda2, rel=2e-15, abs=0)
     assert (trace.fitted_rate, trace.fitted_constant) == (ref.fitted_rate, ref.fitted_constant)
     assert not trace.sup_floors.any() and trace.distributions is None
 
@@ -705,7 +710,7 @@ def test_class_trace_agrees_with_the_float_path(q, K):
     sup_f, l2_f, _, lam2 = _evolve_float(d, 40, False)
     floors = _float_sup_floors(d.q, d.T, l2_f)
     assert trace.exact and not trace.sup_floors.any() and trace.distributions is None
-    assert trace.lambda2 == lam2
+    assert trace.lambda2 == pytest.approx(lam2, rel=2e-15, abs=0)
     assert np.all(np.abs(trace.sup_dists - sup_f) <= floors)
     np.testing.assert_allclose(trace.l2_dists, l2_f, rtol=1e-13, atol=0)
     np.testing.assert_array_equal(trace.l2_dists, _closed_form_l2(q, K, 40))
@@ -724,10 +729,138 @@ def test_class_trace_l2_stays_normal_where_its_square_underflows():
 def test_class_trace_guards():
     with pytest.raises(ValueError, match="not prime"):
         class_trace(4, 2, 0)
-    with pytest.raises(ValueError, match=f"exceeds {ENUMERATION_LIMIT}"):
-        class_trace(2, 6, 0)
+    # 2^21 columns; the class chain enumerates q^K columns, not q^T tables
+    with pytest.raises(ValueError, match=f"q\\^K = 2097152 columns exceeds {ENUMERATION_LIMIT}"):
+        class_trace(2, 21, 0)
     for L_max in (0, 1001):
         with pytest.raises(ValueError, match=r"L_max must lie in \[1, 1000\]"):
             class_trace(2, 2, L_max)
     with pytest.raises(ValueError, match="not prime"):
         class_chain(9, 1)
+
+
+# --- closed forms ---------------------------------------------------------------
+
+
+def _stationary_sizes(counts, n):
+    """Oracle for the class sizes: n * pi for the law pi with
+    pi @ counts = q**K * pi, by Gaussian elimination over Fractions.
+
+    The rows of ``counts`` sum to q**K, so one balance equation is implied
+    by the others; the last one is replaced by sum(n * pi) = n."""
+    m = len(counts)
+    step = int(counts[0].sum())
+    rows = [
+        [Fraction(int(counts[a, b]) - step * (a == b)) for a in range(m)] + [Fraction(0)]
+        for b in range(m - 1)
+    ]
+    rows.append([Fraction(1)] * m + [Fraction(n)])
+    for c in range(m):
+        p = next(r for r in range(c, m) if rows[r][c])
+        rows[c], rows[p] = rows[p], [v / rows[p][c] for v in rows[p]]
+        for r in range(m):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    sizes = [row[-1] for row in rows]
+    assert all(s.denominator == 1 and s > 0 for s in sizes), sizes
+    return tuple(int(s) for s in sizes)
+
+
+PRIMES_TO_103 = [q for q in range(2, 104) if is_prime(q)]
+
+# every prime q <= 103 and K <= 6 whose q^K columns the class chain
+# enumerates, many of them beyond q^T = ENUMERATION_LIMIT tables
+CLASS_SIZE_POINTS = [
+    (q, K) for K in range(1, 7) for q in PRIMES_TO_103 if q**K <= ENUMERATION_LIMIT
+]
+
+
+@pytest.mark.parametrize("q, K", CLASS_SIZE_POINTS)
+def test_closed_form_class_sizes_equal_the_stationary_solution(q, K):
+    chain = class_chain(q, K)
+    assert chain.sizes == _stationary_sizes(chain.counts, q ** pair_count(K))
+
+
+def test_class_sizes_distinguish_the_orthogonal_groups():
+    # nondegenerate 2 x 2 tables: O+_2 has order 2(q - 1) and O-_2 has
+    # 2(q + 1), so the class of the hyperbolic plane holds
+    # |GL_2| / (2(q - 1)) = q(q + 1)(q - 1)/2 tables and the other class
+    # q(q - 1)**2 / 2.  The hyperbolic plane's discriminant is -1, a square
+    # iff q = 1 mod 4, so the larger class is (2,+) at q = 5 and (2,-) at
+    # q = 7.  Sizes of (0,+), (1,+), (1,-), (2,+), (2,-):
+    labels = [(0, "+"), (1, "+"), (1, "-"), (2, "+"), (2, "-")]
+    assert _class_sizes(5, 2, labels) == (1, 12, 12, 60, 40)
+    assert _class_sizes(7, 2, labels) == (1, 24, 24, 126, 168)
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [
+        # a permutation keeps the total, so only the balance check can catch it
+        lambda sizes: sizes[::-1],
+        lambda sizes: sizes[:-1] + (sizes[-1] + 1,),
+    ],
+)
+def test_class_chain_rejects_sizes_that_are_not_stationary(monkeypatch, broken):
+    real = spectral._class_sizes
+    monkeypatch.setattr(spectral, "_class_sizes", lambda q, K, labels: broken(real(q, K, labels)))
+    with pytest.raises(ArithmeticError, match="not stationary"):
+        class_chain(5, 3)
+
+
+@pytest.mark.parametrize("q, K", [(11, 3), (3, 5), (13, 4), (2, 8)])
+def test_class_chain_runs_beyond_the_table_limit(q, K):
+    assert q ** pair_count(K) > ENUMERATION_LIMIT >= q**K
+    rep = is_irreducible(q, K)
+    assert rep.irreducible and rep.gamma_all_positive
+    assert rep.reached == rep.group_size == q ** pair_count(K)
+    trace = class_trace(q, K, 40)
+    np.testing.assert_array_equal(trace.l2_dists, _closed_form_l2(q, K, 40))
+    assert trace.lambda2 == lambda2(q, K)
+
+
+def _nearest_double_to_root(x, q):
+    """Whether x is the double nearest q**(-1/2): the midpoints between x and
+    its neighbours, squared exactly, must bracket 1/q."""
+    lo = (Fraction(math.nextafter(x, 0.0)) + Fraction(x)) / 2
+    hi = (Fraction(x) + Fraction(math.nextafter(x, 1.0))) / 2
+    return lo * lo < Fraction(1, q) < hi * hi
+
+
+def test_lambda2_is_correctly_rounded():
+    odd = [q for q in range(3, 2000) if is_prime(q)] + [2**31 - 1, 10**9 + 7, 2**61 - 1]
+    for q in odd:
+        x = lambda2(q, 1)
+        assert _nearest_double_to_root(x, q), q
+        assert all(lambda2(q, K) == x for K in (2, 3, 6, 40))
+    assert lambda2(2, 1) == 0.0
+    assert all(lambda2(2, K) == 0.5 for K in (2, 3, 8, 40))
+    # the FFT's value at (5, 3) was one ulp above the nearest double
+    assert lambda2(5, 3) == 0.4472135954999579
+    assert not _nearest_double_to_root(0.44721359549995804, 5)
+
+
+def test_lambda2_guards():
+    with pytest.raises(ValueError, match="not prime"):
+        lambda2(9, 2)
+    with pytest.raises(ValueError, match="K must be >= 1"):
+        lambda2(3, 0)
+
+
+# every point with q <= 103 within reach of the oracle transform
+FFT_POINTS = [
+    (q, K) for K in range(1, 6) for q in PRIMES_TO_103 if q ** pair_count(K) <= ENUMERATION_LIMIT
+]
+
+
+@pytest.mark.parametrize("q, K", FFT_POINTS)
+def test_lambda2_agrees_with_the_character_spectrum(q, K):
+    fft = spectrum_via_characters(delta_distribution(q, K)).lambda2
+    assert fft == pytest.approx(lambda2(q, K), rel=2e-15, abs=0)
+
+
+@pytest.mark.parametrize("q, K", [(q, K) for q, K in FFT_POINTS if q ** pair_count(K) <= DENSE_LIMIT])
+def test_lambda2_agrees_with_the_dense_oracle(q, K):
+    dense = spectrum_dense_oracle(transition_dense(q, K)).lambda2
+    assert abs(dense - lambda2(q, K)) <= 1e-12
