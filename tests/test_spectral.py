@@ -10,6 +10,7 @@ import scipy.fft
 from pipret import acceptance, spectral
 from pipret.fields import PairIndex, is_prime, pair_count
 from pipret.spectral import (
+    DENSE_LIMIT,
     ENUMERATION_LIMIT,
     EXACT_EVOLVE_LIMIT,
     ConvergenceTrace,
@@ -29,12 +30,12 @@ from pipret.spectral import (
     sum_two_squares,
     transition_dense,
 )
-from pipret.spectral import (  # float fallback cross-checks
+from pipret.spectral import (  # float fallback cross-checks and the size formula
+    _class_sizes,
     _evolve_float,
     _float_sup_floors,
     _increment_transform,
 )
-from pipret.spectral import DENSE_LIMIT, _class_sizes
 
 
 def _counts_by_digits(d):
