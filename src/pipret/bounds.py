@@ -23,6 +23,11 @@ therefore treats the fraction as the rate and returns its reciprocal as the
 inverse rate.  The converse side is the floor/fraction sum.  Both choices
 are validated by the P=1 geometric-sum identity and the tightness of the
 two formulas at K_msg/P = 2 (see tests).
+
+The bounds and the rate fraction are floats and exact integers.  Only the
+beta_i residual gate (``solve_root_coefficients``, which the verbose
+capacity grid reports as ``beta_residual``) works in mpmath's extended
+precision, and mpmath is imported there, where it runs.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 RESIDUAL_TOL = 1e-9
@@ -123,6 +127,8 @@ def _working_dps(K: int) -> int:
 def _closed_form_system(K: int, P: int, N: int):
     """Roots r_i and coefficients beta_i (lists of mpc) at the current
     mpmath precision."""
+    import mpmath as mp
+
     rho = mp.root(N, P)
     w = [mp.expjpi(mp.mpf(2 * i) / P) for i in range(P)]
     roots = [wi / (rho - wi) for wi in w]
@@ -142,6 +148,8 @@ def solve_root_coefficients(bq: BoundQuery) -> RootCoefficients:
     ValueError for N = 1 (the system degenerates; the converse formula
     covers that case) and ArithmeticError when the residual gate fails.
     """
+    import mpmath as mp
+
     K, P, N = bq.K_msg, bq.P, bq.N
     if N < 2:
         raise ValueError("root/coefficient system requires N >= 2")

@@ -30,6 +30,10 @@ Three schemes are provided:
                           the decode, one gather per run.
 * ``leaky_index``       - negative control that sends the request in the
                           clear; privacy audits must flag it.
+
+The module needs numpy alone.  The sampled audit's chi-square p-value is
+``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` calls, and
+scipy.special is imported there, at its one point of use.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
-import scipy.stats
 
 from .bounds import BoundQuery, inverse_rate_achievable, inverse_rate_converse
 from .fields import Database, PairIndex, _check_prime_modulus, compute_table, pair_count, pair_rank
@@ -989,7 +992,9 @@ def _two_sample_chisquare(tally1: tuple, tally2: tuple, min_bucket: int = 10):
         terms = (a - b) ** 2 / (a + b)
     stat = float(np.nansum(terms))
     dof = len(a) - 1
-    pvalue = float(scipy.stats.chi2.sf(stat, dof))
+    from scipy.special import chdtrc  # the kernel of scipy.stats.chi2.sf
+
+    pvalue = float(chdtrc(dof, stat))
     return stat, dof, pvalue
 
 

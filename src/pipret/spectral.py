@@ -51,6 +51,11 @@ imaginary part, two steps per transform; each row carries a rounding
 bound on its sup distance.  The float l2 distance comes from Parseval over
 the character spectrum, l2(L)^2 = (1/n) sum_(chi != 0) |lambda_chi|^(2L),
 which carries no convolution rounding noise.
+
+Only the Fourier transforms need scipy: ``_increment_transform`` (the
+oracles' transform) and the float path ``_evolve_float`` import scipy.fft
+where they run.  The closed forms, the class chain and the exact
+evolution need numpy alone.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 
 from .fields import (
     Database,
@@ -173,6 +177,8 @@ def _increment_transform(d: DeltaDistribution) -> np.ndarray:
     real-input transform differs in the last bit, which the 2L-th powers in
     the float path's Parseval sum lift to about 2e-15 relative in l2.
     """
+    import scipy.fft
+
     nd = d.probs.reshape((d.q,) * d.T).astype(complex)
     return scipy.fft.fftn(nd, axes=tuple(range(d.T - 1, -1, -1)))
 
@@ -466,6 +472,8 @@ def _evolve_exact(d: DeltaDistribution, L_max: int, store: bool):
 
 
 def _evolve_float(d: DeltaDistribution, L_max: int, store: bool):
+    import scipy.fft
+
     q, T = d.q, d.T
     n = q**T
     delta_hat = _increment_transform(d)
@@ -630,9 +638,11 @@ def class_chain(q: int, K: int) -> ClassChain:
     image of the uniform law on the tables, so they must sum to q^T and
     satisfy sizes @ counts = q**K * sizes; both are checked in integers,
     and ArithmeticError is raised if either fails.  Raises ValueError for a
-    non-prime q or for q^K columns beyond ``ENUMERATION_LIMIT``.
+    non-prime q, for K < 1 or for q^K columns beyond ``ENUMERATION_LIMIT``.
     """
     q = _check_prime_modulus(q)
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     columns = q**K
     if columns > ENUMERATION_LIMIT:
         raise ValueError(f"q^K = {columns} columns exceeds {ENUMERATION_LIMIT}")

@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,16 @@ def test_converge_csv_halves_l2(capsys):
     l2 = [float(line.split(",")[2]) for line in lines[1:]]
     for a, b in zip(l2, l2[1:]):
         assert b == pytest.approx(a / 2, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "command,K", [("spectrum", "0"), ("spectrum", "-1"), ("converge", "0")]
+)
+def test_class_chain_commands_reject_K_below_one(command, K, capsys):
+    code, out, err = _run([command, "--q", "3", "--K", K], capsys)
+    assert code == EXIT_VALIDATION
+    assert f"K must be >= 1, got {K}" in err
+    assert out == ""
 
 
 def test_simulate_repeated_pir_summary(capsys):
@@ -478,3 +492,53 @@ def test_spectral_commands_never_call_the_oracles(monkeypatch, capsys):
     res = json.loads(out)["results"]
     assert res == {"q": 11, "K": 3, "T": 6, "lambda2": spectral.lambda2(11, 3),
                    "irreducible": True, "gamma_all_positive": True}
+
+
+_IMPORT_PROBE = """
+import json, sys
+import pipret, pipret.cli
+from pipret.cli import build_parser, dispatch, resolve_config
+
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith(("scipy", "mpmath")))
+
+def run(*argv):
+    report, status = dispatch(resolve_config(build_parser().parse_args(argv)))
+    assert status == 0, argv
+    return heavy()
+
+seen = {"import": heavy()}
+seen["spectrum"] = run("spectrum", "--q", "3", "--K", "2")
+seen["converge"] = run("converge", "--q", "5", "--K", "2", "--Lmax", "5")
+seen["simulate"] = run("simulate", "--scheme", "repeated_pir", "--K", "2", "--q", "3",
+                       "--N", "2", "--seeds", "1")
+seen["ml-demo"] = run("ml-demo", "--data", sys.argv[1], "--label", "label",
+                      "--task", "svm", "--private", "--box", "100")
+seen["audit"] = run("audit", "--scheme", "repeated_pir", "--mode", "sampled",
+                    "--samples", "10000", "--T", "2", "--q", "5", "--N", "2", "--P", "1")
+seen["capacity"] = run("capacity", "--K", "3", "--P", "1", "--N", "2", "--verbose")
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_and_mpmath_load_only_where_they_are_used(tmp_path):
+    """One fresh process: importing pipret loads neither scipy nor mpmath,
+    the audit p-value loads scipy.special alone, and the verbose capacity
+    residual loads mpmath."""
+    data = tmp_path / "data.csv"
+    _write_dataset(data)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(data)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    seen = json.loads(done.stdout)
+    for step in ("import", "spectrum", "converge", "simulate", "ml-demo"):
+        assert seen[step] == [], step
+    assert "scipy.special" in seen["audit"]
+    assert not any(m.startswith(("scipy.stats", "mpmath")) for m in seen["audit"])
+    assert "mpmath" in seen["capacity"]

@@ -703,6 +703,30 @@ def test_array_chisquare_matches_counter_reference(data):
     assert type(got[1]) is int
 
 
+def test_chisquare_pvalue_equals_chi2_sf_up_to_the_audit_dofs():
+    """The P=2 audit reaches dof 2473 and the leaky control a p-value that
+    underflows to 0.0; the p-value must equal scipy.stats' chi2.sf there,
+    bit for bit."""
+    rng = np.random.default_rng(20)
+    pvalues = []
+    for dof in (1, 2, 29, 30, 100, 1000, 2473, 5000):
+        keys = np.arange(dof + 1, dtype=np.uint64).reshape(-1, 1)
+        a = rng.integers(20, 80, size=dof + 1)
+        # stat near f**2 * dof: from equal sides through sampling noise
+        # (f = 1) to a tail where the p-value underflows
+        for f in (0.0, 0.5, 1.0, 1.1, 1.25, 1.5, 2.0):
+            noise = f * np.sqrt(2 * a) * rng.standard_normal(dof + 1)
+            b = np.maximum(a + np.rint(noise).astype(np.int64), 1)
+            for b in (b, 10 * b):
+                stat, got_dof, pvalue = protocol._two_sample_chisquare((keys, a), (keys, b))
+                assert got_dof == dof
+                assert pvalue == float(scipy.stats.chi2.sf(stat, dof))
+                pvalues.append(pvalue)
+    assert 0.0 in pvalues
+    assert any(0.0 < p < 1e-12 for p in pvalues)
+    assert any(p > 0.5 for p in pvalues)
+
+
 class _ReferencePir(RepeatedPirScheme):
     """repeated_pir tallied by the base per-sample loop, as Counters keyed
     like the batched tally, for the reference chi-square."""
