@@ -92,10 +92,11 @@ def criterion_convergence(master_seed: int) -> dict:
     checks = []
     details = {}
     for q, K in [(2, 2), (3, 2)]:
-        d = spectral.delta_distribution(q, K)
-        lam2 = spectral.spectrum_via_characters(d).lambda2
+        # the closed form that spectrum and converge report
+        lam2 = spectral.lambda2(q, K)
         trace = spectral.class_trace(q, K, 30)
         # the per-state walk is the oracle for the lumped one
+        d = spectral.delta_distribution(q, K)
         per_state = spectral.evolve(d, 30, store_distributions=False)
         same_rows = np.array_equal(trace.sup_dists, per_state.sup_dists) and np.array_equal(
             trace.l2_dists, per_state.l2_dists

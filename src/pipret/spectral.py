@@ -34,11 +34,14 @@ for q = 2, 1 + K + floor(K/2) of them.  Their sizes are MacWilliams'
 counts ("Orthogonal matrices over finite fields", Amer. Math. Monthly 76,
 1969): a Gaussian binomial for the radical times the number of
 nondegenerate forms of the class, |GL_r| over the order of the form's
-isometry group.  The transition counts enumerate the q^K columns, never
-the q^T tables.  ``is_irreducible`` walks the level sets of the support
-as sets of classes, and ``class_trace`` evolves the class masses in
-integers, so both are exact at every size, and every row at every length,
-for a handful of big-integer products per step.
+isometry group.  The transition counts are closed forms in the rank, from
+the classical counts of the solutions of a quadratic equation over F(q);
+no column and no table is enumerated.  ``is_irreducible`` walks the level
+sets of the support as sets of classes, and ``class_trace`` evolves the
+class masses in integers, so both are exact, and every row at every
+length, for a handful of big-integer products per step.  Those products
+grow by a factor q^K per step, so the guard q^K <= ENUMERATION_LIMIT
+bounds that work: (2, 20) and (3, 12) at L_max = 1000 take about 3 s.
 
 ``evolve`` keeps the per-state laws, which subset entropies need, and is
 the reference for the class chain.  It is exact in integers while
@@ -52,10 +55,10 @@ bound on its sup distance.  The float l2 distance comes from Parseval over
 the character spectrum, l2(L)^2 = (1/n) sum_(chi != 0) |lambda_chi|^(2L),
 which carries no convolution rounding noise.
 
-Only the Fourier transforms need scipy: ``_increment_transform`` (the
-oracles' transform) and the float path ``_evolve_float`` import scipy.fft
-where they run.  The closed forms, the class chain and the exact
-evolution need numpy alone.
+The module needs numpy alone.  The Fourier transforms, the oracles'
+``_increment_transform`` and the float path ``_evolve_float``, use
+``np.fft``, which ``import numpy`` does not load; those two functions
+reach it where they run.
 """
 
 from __future__ import annotations
@@ -76,7 +79,9 @@ from .fields import (
     pair_unrank,
 )
 
-ENUMERATION_LIMIT = 2**20   # largest q^T tables or q^K columns enumerated
+# largest q^T tables enumerated, and largest q^K of the class chain, whose
+# big-integer masses in class_trace grow by a factor q^K per step
+ENUMERATION_LIMIT = 2**20
 DENSE_LIMIT = 2**12         # largest q^T materialized as a dense matrix
 EXACT_EVOLVE_LIMIT = 2**12  # largest q^T evolved in exact integer arithmetic
 MAX_TRACE_LENGTH = 1000
@@ -170,17 +175,8 @@ class Spectrum:
 
 
 def _increment_transform(d: DeltaDistribution) -> np.ndarray:
-    """Unnormalised DFT of the increment law, shaped (q,) * T.
-
-    Complex input transformed last axis first runs the passes of
-    ``np.fft.fftn`` in its order and rounds every entry as it does; the
-    real-input transform differs in the last bit, which the 2L-th powers in
-    the float path's Parseval sum lift to about 2e-15 relative in l2.
-    """
-    import scipy.fft
-
-    nd = d.probs.reshape((d.q,) * d.T).astype(complex)
-    return scipy.fft.fftn(nd, axes=tuple(range(d.T - 1, -1, -1)))
+    """Unnormalised DFT of the increment law, shaped (q,) * T."""
+    return np.fft.fftn(d.probs.reshape((d.q,) * d.T).astype(complex))
 
 
 def spectrum_via_characters(d: DeltaDistribution) -> Spectrum:
@@ -472,8 +468,6 @@ def _evolve_exact(d: DeltaDistribution, L_max: int, store: bool):
 
 
 def _evolve_float(d: DeltaDistribution, L_max: int, store: bool):
-    import scipy.fft
-
     q, T = d.q, d.T
     n = q**T
     delta_hat = _increment_transform(d)
@@ -492,8 +486,7 @@ def _evolve_float(d: DeltaDistribution, L_max: int, store: bool):
     # p_L and p_(L+1) are real, so the inverse transform of
     # p_hat_L + i*p_hat_(L+1) holds p_L in its real part and p_(L+1) in its
     # imaginary part: one transform per two steps.  The pair is formed in
-    # the p_hat_L buffer, which the transform may then overwrite; an odd
-    # L_max ends with p_hat_L alone.
+    # the p_hat_L buffer; an odd L_max ends with p_hat_L alone.
     p_hat = delta_hat.copy()
     next_hat = np.empty_like(delta_hat)
     for L in range(1, L_max + 1, 2):
@@ -502,7 +495,7 @@ def _evolve_float(d: DeltaDistribution, L_max: int, store: bool):
             np.multiply(p_hat, delta_hat, out=next_hat)
             p_hat.real -= next_hat.imag
             p_hat.imag += next_hat.real
-        p = scipy.fft.ifftn(p_hat, overwrite_x=True)
+        p = np.fft.ifftn(p_hat)
         for part in (p.real, p.imag) if paired else (p.real,):
             sup_dists.append(max(float(part.max()) - pi, pi - float(part.min())))
             if store:
@@ -620,11 +613,13 @@ def class_chain(q: int, K: int) -> ClassChain:
     The table is a symmetric K x K matrix S over F(q), and a column x moves
     it to S + x x^T.  Class a is represented by S = B (+) 0 with B an r x r
     nondegenerate block: diag(1, ..., 1, nu) for odd q, nu = 1 for '+' and
-    the least nonsquare for '-'; I_r ('n') or r/2 copies of
+    a nonsquare for '-'; I_r ('n') or r/2 copies of
     H = [[0, 1], [1, 0]] ('a') for q = 2.  Split x = (y, z) after r
     coordinates.
     - z != 0: v -> (v_1..v_r, x.v, ...) is a change of basis taking
       S + x x^T to B (+) (1) (+) 0, of rank r + 1 and discriminant disc(B).
+      These are q^K - q^r columns, and for q = 2 the image has a nonzero
+      diagonal entry.
     - z = 0: S + x x^T = (B + y y^T) (+) 0 and
       det(B + y y^T) = det(B) * s, s = 1 + y^T B^-1 y.  If s != 0 the rank
       stays r and the discriminant becomes disc(B) * s.  If s = 0 the rank
@@ -633,6 +628,27 @@ def class_chain(q: int, K: int) -> ClassChain:
       discriminant is -disc(B).
     For q = 2 the diagonal of S + x x^T is diag(S) + x, since x_i**2 = x_i,
     so the new table is alternating iff x = diag(S).
+
+    The counts follow by counting the y of each outcome, in O(1) integer
+    work per class; no column is enumerated.
+    - q = 2, class (r, a): y^T H y = 0, so s = 1 for every y; y = 0 keeps
+      the table alternating, and the 2^r - 1 others go to (r, n).
+    - q = 2, class (r, n): s = 1 + |y| mod 2, so the 2^(r-1) y of even
+      weight keep rank r and the 2^(r-1) of odd weight drop to r - 1.  The
+      all-ones y, of weight r, is the one with an alternating image, in
+      whichever of ranks r and r - 1 is even.
+    - odd q: Q(y) = y^T B^-1 y is nondegenerate of rank r, and with
+      eta the quadratic character, e = eta(-1), m = floor(r/2) and
+      c = eta((-1)**m) * eta(disc(B)), the number of y with Q(y) = b is
+      q**(r-1) + c*q**(m-1)*v(b), v(0) = q - 1 and v(b) = -1 otherwise, for
+      even r, and q**(r-1) + c*q**m*eta(b) for odd r (Lidl and
+      Niederreiter, Finite Fields, Thms 6.26 and 6.27).  The rank drops
+      (s = 0) at b = -1.  The kind is kept at b = s - 1 for the (q - 1)/2
+      nonzero squares s; with sum_(s square, s != 0) eta(s - 1) =
+      -(1 + e)/2 for odd r, those columns number
+      (q - 1)/2 * q**(r-1) + c*q**(m-1)*(q + 1)/2 for even r and
+      (q - 1)/2 * q**(r-1) - c*q**m*(1 + e)/2 for odd r.  The rest of the
+      z = 0 columns flip the kind.
 
     The sizes are MacWilliams' counts (``_class_sizes``).  They are the
     image of the uniform law on the tables, so they must sum to q^T and
@@ -651,36 +667,36 @@ def class_chain(q: int, K: int) -> ClassChain:
                         + [(r, "a") for r in range(2, K + 1, 2)])
     else:
         labels = [(0, "+")] + [(r, kind) for r in range(1, K + 1) for kind in "+-"]
-    # class index by (rank, kind is '+' or 'a'); -1 marks no class
-    lookup = np.full((K + 2, 2), -1, dtype=np.int64)
-    for a, (r, kind) in enumerate(labels):
-        lookup[r, int(kind in "+a")] = a
-    x = np.indices((q,) * K).reshape(K, -1).astype(np.int64)
-    square = np.zeros(q, dtype=bool)
-    square[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
-    nu = next((v for v in range(2, q) if not square[v]), 1)
+    e = 1 if q % 4 == 1 else -1  # eta(-1)
     counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for a, (r, kind) in enumerate(labels):
-        # B^-1: H and I_r are their own inverses, diag(.., nu) has diag(.., nu^-1)
-        if kind == "a" and r:
-            inv = np.kron(np.eye(r // 2, dtype=np.int64), [[0, 1], [1, 0]])
+        # the z = 0 moves, then the q^K - q^r columns with z != 0
+        if q == 2 and kind == "a":
+            moves = [((r, "a"), 1), ((r, "n"), 2**r - 1)]
+        elif q == 2:
+            # of r and r - 1, the even rank is the one with an alternating image
+            even, odd, half = r - r % 2, r - 1 + r % 2, 2 ** (r - 1)
+            moves = [((even, "a"), 1), ((even, "n"), half - 1), ((odd, "n"), half)]
+        elif r == 0:
+            moves = [((0, "+"), 1)]
         else:
-            inv = np.eye(r, dtype=np.int64)
-            if kind == "-":
-                inv[-1, -1] = pow(nu, -1, q)
-        y = x[:r]
-        s = (1 + (y * (inv @ y % q)).sum(axis=0)) % q
-        grows = x[r:].any(axis=0)
-        rank = np.where(grows, r + 1, np.where(s != 0, r, r - 1))
-        if q == 2:
-            diag = np.zeros(K, dtype=np.int64)
-            diag[:r] = kind == "n"
-            top = (x == diag[:, None]).all(axis=0)
-        else:
-            # the new discriminant's square class: disc(B), disc(B)*s or -disc(B)
-            factor = np.where(grows, True, np.where(s != 0, square[s], square[q - 1]))
-            top = (factor == (kind == "+")) | (rank == 0)
-        counts[a] = np.bincount(lookup[rank, top.astype(np.int64)], minlength=len(labels))
+            other = "-" if kind == "+" else "+"
+            c = e ** (r // 2) * (1 if kind == "+" else -1)
+            p = q ** (r - 1)
+            base = (q - 1) // 2 * p
+            if r % 2 == 0:
+                t = c * q ** (r // 2 - 1)
+                drop, keep, flip = p - t, base + t * (q + 1) // 2, base - t * (q - 1) // 2
+            else:
+                t = c * q ** (r // 2)
+                drop, keep, flip = p + t * e, base - t * (e + 1) // 2, base - t * (e - 1) // 2
+            moves = [
+                ((r, kind), keep), ((r, other), flip), ((r - 1, kind if e == 1 else other), drop)
+            ]
+        moves.append(((r + 1, "n" if q == 2 else kind), columns - q**r))
+        for label, n in moves:
+            if n:  # a zero count may name a class that does not exist
+                counts[a, labels.index(label)] += n
     sizes = _class_sizes(q, K, labels)
     into = counts.T.tolist()
     if sum(sizes) != q ** pair_count(K) or any(

@@ -514,6 +514,9 @@ seen["simulate"] = run("simulate", "--scheme", "repeated_pir", "--K", "2", "--q"
                        "--N", "2", "--seeds", "1")
 seen["ml-demo"] = run("ml-demo", "--data", sys.argv[1], "--label", "label",
                       "--task", "svm", "--private", "--box", "100")
+from pipret import acceptance
+assert all(ok for _, ok in acceptance.criterion_spectral_exactness(0)["checks"])
+seen["criterion 1"] = heavy()
 seen["audit"] = run("audit", "--scheme", "repeated_pir", "--mode", "sampled",
                     "--samples", "10000", "--T", "2", "--q", "5", "--N", "2", "--P", "1")
 seen["capacity"] = run("capacity", "--K", "3", "--P", "1", "--N", "2", "--verbose")
@@ -523,8 +526,8 @@ print(json.dumps(seen))
 
 def test_scipy_and_mpmath_load_only_where_they_are_used(tmp_path):
     """One fresh process: importing pipret loads neither scipy nor mpmath,
-    the audit p-value loads scipy.special alone, and the verbose capacity
-    residual loads mpmath."""
+    nor does criterion 1's Fourier transform; the audit p-value loads
+    scipy.special alone, and the verbose capacity residual loads mpmath."""
     data = tmp_path / "data.csv"
     _write_dataset(data)
     env = dict(os.environ)
@@ -537,7 +540,7 @@ def test_scipy_and_mpmath_load_only_where_they_are_used(tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     seen = json.loads(done.stdout)
-    for step in ("import", "spectrum", "converge", "simulate", "ml-demo"):
+    for step in ("import", "spectrum", "converge", "simulate", "ml-demo", "criterion 1"):
         assert seen[step] == [], step
     assert "scipy.special" in seen["audit"]
     assert not any(m.startswith(("scipy.stats", "mpmath")) for m in seen["audit"])

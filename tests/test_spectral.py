@@ -730,7 +730,8 @@ def test_class_trace_l2_stays_normal_where_its_square_underflows():
 def test_class_trace_guards():
     with pytest.raises(ValueError, match="not prime"):
         class_trace(4, 2, 0)
-    # 2^21 columns; the class chain enumerates q^K columns, not q^T tables
+    # 2^21 columns; the guard is on q^K, whose growth per step bounds the
+    # big-integer work of class_trace, not on q^T tables
     with pytest.raises(ValueError, match=f"q\\^K = 2097152 columns exceeds {ENUMERATION_LIMIT}"):
         class_trace(2, 21, 0)
     for L_max in (0, 1001):
@@ -770,11 +771,65 @@ def _stationary_sizes(counts, n):
 
 PRIMES_TO_103 = [q for q in range(2, 104) if is_prime(q)]
 
-# every prime q <= 103 and K <= 6 whose q^K columns the class chain
-# enumerates, many of them beyond q^T = ENUMERATION_LIMIT tables
+# every prime q <= 103 and K <= 6 whose q^K columns the class chain admits,
+# many of them beyond q^T = ENUMERATION_LIMIT tables
 CLASS_SIZE_POINTS = [
     (q, K) for K in range(1, 7) for q in PRIMES_TO_103 if q**K <= ENUMERATION_LIMIT
 ]
+
+
+def _enumerated_counts(q, K, labels):
+    """Oracle for ``class_chain``'s counts: the class of S + x x^T for each
+    of the q^K columns x, from the representative S of each class, by the
+    case split of ``class_chain``'s docstring."""
+    # class index by (rank, kind is '+' or 'a'); -1 marks no class
+    lookup = np.full((K + 2, 2), -1, dtype=np.int64)
+    for a, (r, kind) in enumerate(labels):
+        lookup[r, int(kind in "+a")] = a
+    x = np.indices((q,) * K).reshape(K, -1).astype(np.int64)
+    square = np.zeros(q, dtype=bool)
+    square[np.arange(1, q, dtype=np.int64) ** 2 % q] = True
+    nu = next((v for v in range(2, q) if not square[v]), 1)
+    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for a, (r, kind) in enumerate(labels):
+        # B^-1: H and I_r are their own inverses, diag(.., nu) has diag(.., nu^-1)
+        if kind == "a" and r:
+            inv = np.kron(np.eye(r // 2, dtype=np.int64), [[0, 1], [1, 0]])
+        else:
+            inv = np.eye(r, dtype=np.int64)
+            if kind == "-":
+                inv[-1, -1] = pow(nu, -1, q)
+        y = x[:r]
+        s = (1 + (y * (inv @ y % q)).sum(axis=0)) % q
+        grows = x[r:].any(axis=0)
+        rank = np.where(grows, r + 1, np.where(s != 0, r, r - 1))
+        if q == 2:
+            diag = np.zeros(K, dtype=np.int64)
+            diag[:r] = kind == "n"
+            top = (x == diag[:, None]).all(axis=0)
+        else:
+            # the new discriminant's square class: disc(B), disc(B)*s or -disc(B)
+            factor = np.where(grows, True, np.where(s != 0, square[s], square[q - 1]))
+            top = (factor == (kind == "+")) | (rank == 0)
+        counts[a] = np.bincount(lookup[rank, top.astype(np.int64)], minlength=len(labels))
+    return counts
+
+
+@pytest.mark.parametrize("q, K", CLASS_SIZE_POINTS + [(2, K) for K in range(7, 17)])
+def test_class_chain_counts_equal_the_column_enumeration(q, K):
+    chain = class_chain(q, K)
+    assert np.array_equal(chain.counts, _enumerated_counts(q, K, chain.labels))
+
+
+def test_class_chain_is_stationary_beyond_the_enumeration():
+    """Past the oracle's reach, the closed-form counts and the closed-form
+    sizes must still agree: class_chain checks sizes @ counts =
+    q**K * sizes in integers and raises ArithmeticError otherwise."""
+    points = [(q, 2) for q in range(2, 1022) if is_prime(q)]
+    points += [(q, 3) for q in range(2, 102) if is_prime(q)]
+    for q, K in points:
+        chain = class_chain(q, K)
+        assert (chain.counts.sum(axis=1) == q**K).all(), (q, K)
 
 
 @pytest.mark.parametrize("q, K", CLASS_SIZE_POINTS)
@@ -810,9 +865,12 @@ def test_class_chain_rejects_sizes_that_are_not_stationary(monkeypatch, broken):
         class_chain(5, 3)
 
 
-@pytest.mark.parametrize("q, K", [(11, 3), (3, 5), (13, 4), (2, 8)])
+# beyond q^T = ENUMERATION_LIMIT tables, or at the guard's edge, where one
+# more file would exceed it: (2, 20) and (1048573, 1), the largest prime
+# below 2^20
+@pytest.mark.parametrize("q, K", [(11, 3), (3, 5), (13, 4), (2, 8), (2, 20), (1048573, 1)])
 def test_class_chain_runs_beyond_the_table_limit(q, K):
-    assert q ** pair_count(K) > ENUMERATION_LIMIT >= q**K
+    assert q**K <= ENUMERATION_LIMIT < max(q ** pair_count(K), q ** (K + 1))
     rep = is_irreducible(q, K)
     assert rep.irreducible and rep.gamma_all_positive
     assert rep.reached == rep.group_size == q ** pair_count(K)
