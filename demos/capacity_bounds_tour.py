@@ -31,10 +31,10 @@ for K_files in (2, 3, 4):
     for P in (1, 2, 3):
         for N in (2, 3):
             bq = BoundQuery(K_msg, P, N)
-            con = inverse_rate_converse(bq)
-            ach = inverse_rate_achievable(bq)
+            con = float(inverse_rate_converse(bq))
+            ach = float(inverse_rate_achievable(bq))
             lim = corollary_limits(K_files, P, N)
-            lim_txt = f"{lim:.4f}" if lim is not None else "open"
+            lim_txt = f"{float(lim):.4f}" if lim is not None else "open"
             print(f"{K_files:>8} {K_msg:>6} {P:>3} {N:>3} {con:>10.4f} {ach:>11.4f} {lim_txt:>8}")
 
 print()
@@ -49,8 +49,8 @@ for N in (2, 3, 5):
     for K_msg in (3, 6):
         ach = inverse_rate_achievable(BoundQuery(K_msg, 1, N))
         geo = single_message_inverse_rate(K_msg, N)
-        print(f"  K_msg={K_msg} N={N}: achievable {ach:.6f}  geometric {geo:.6f}  "
-              f"delta {abs(ach - geo):.1e}")
+        print(f"  K_msg={K_msg} N={N}: achievable {float(ach):.6f}  geometric {float(geo):.6f}  "
+              f"equal {ach == geo}")
 
 print()
 print("=" * 72)
@@ -62,7 +62,7 @@ print(f"  roots     : {np.round(rc.roots, 6)}")
 print(f"  betas     : {np.round(rc.coefficients, 6)} (Vandermonde inverse, closed form)")
 print(f"  residual  : {rc.max_residual:.2e} (defining equations)")
 frac = achievable_rate_fraction(bq)
-print(f"  fraction  : {frac} = {float(frac):.6f} -> inverse rate {1 / float(frac):.6f}")
+print(f"  fraction  : {frac} = {float(frac):.6f} -> inverse rate {float(1 / frac):.6f}")
 print("  (the fraction itself is the rate, an exact rational from two integer")
 print("   sums over the coefficients of (1 + y + ... + y^(P-1))^(K+1-P); its")
 print("   reciprocal is reported)")
@@ -73,7 +73,7 @@ print("4. Finite-length correction of the converse end")
 print("=" * 72)
 lam2 = 0.5  # the q=2, K=2 walk; see the spectral demo
 for L in (1, 2, 4, 8, 16):
-    cb = theorem1_bounds(2, 2, 2, L=L, lambda2=lam2, c=1.0)
+    cb = theorem1_bounds(2, 2, 2, L=L, lambda2=lam2)
     low, high = cb.bracket
     print(f"  L={L:>2}: 1/C in [{low:.6f}, {high:.6f}]  correction {cb.correction:.6f}")
 print("  The bracket closes geometrically fast as files grow.")

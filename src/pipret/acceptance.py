@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -207,20 +208,19 @@ def criterion_entropy_bound(master_seed: int) -> dict:
 
 def criterion_capacity_formulas(master_seed: int) -> dict:
     checks = []
-    geo_ok = True
-    for N in range(2, 7):
-        for K in range(2, 11):
-            got = bounds.inverse_rate_achievable(bounds.BoundQuery(K, 1, N))
-            want = bounds.single_message_inverse_rate(K, N)
-            if abs(got - want) >= 1e-9:
-                geo_ok = False
+    geo_ok = all(
+        bounds.inverse_rate_achievable(bounds.BoundQuery(K, 1, N))
+        == bounds.single_message_inverse_rate(K, N)
+        for N in range(2, 7)
+        for K in range(2, 11)
+    )
     checks.append(("P=1 achievable equals geometric sum", geo_ok))
 
     tight_ok = True
     for P in range(1, 6):
         for N in range(2, 7):
             bq = bounds.BoundQuery(2 * P, P, N)
-            if abs(bounds.inverse_rate_achievable(bq) - bounds.inverse_rate_converse(bq)) >= 1e-9:
+            if bounds.inverse_rate_achievable(bq) != bounds.inverse_rate_converse(bq):
                 tight_ok = False
     checks.append(("formulas agree at K_msg/P = 2", tight_ok))
 
@@ -236,10 +236,10 @@ def criterion_capacity_formulas(master_seed: int) -> dict:
             for K in (2 * P, 2 * P + 3):
                 rc = bounds.solve_root_coefficients(bounds.BoundQuery(K, P, N))
                 worst_residual = max(worst_residual, rc.max_residual)
-                if rc.max_residual >= 1e-9:
+                if rc.max_residual >= bounds.RESIDUAL_TOL:
                     beta_ok = False
     checks.append(("beta residuals < 1e-9 for P <= 8, N <= 8", beta_ok))
-    return {"checks": checks, "worst_beta_residual": worst_residual, "cor1": cor1, "cor2": cor2}
+    return {"checks": checks, "worst_beta_residual": worst_residual, "cor1": float(cor1), "cor2": float(cor2)}
 
 
 def criterion_protocol(master_seed: int) -> dict:
@@ -319,7 +319,7 @@ def criterion_rate_brackets(master_seed: int) -> dict:
         measured = run_point(fd, protocol.VirtualFileSpace(T=T, q=5, nu=2), 1, tuple(range(P)), tag=tag)
         converse = bounds.inverse_rate_converse(bounds.BoundQuery(T, P, 1))
         never_beats &= measured >= converse - 1e-9
-        if abs(measured - T / P) >= 1e-9 or abs(converse - T / P) >= 1e-9:
+        if abs(measured - T / P) >= 1e-9 or converse != Fraction(T, P):
             n1_ok = False
     checks.append(("full_download at N=1 attains T/P exactly", n1_ok))
 

@@ -1,10 +1,13 @@
 """Closed-form download bounds for private multi-message retrieval.
 
-Implements the two inverse-rate formulas that bracket the capacity of
-retrieving P messages out of K_msg from N replicated servers:
+Implements the two inverse-rate formulas of Banawan and Ulukus ("Multi-
+Message Private Information Retrieval", IEEE Trans. IT 2018) that bracket
+the capacity of retrieving P messages out of K_msg from N replicated
+servers:
 
-* the converse-side expression (floor/fraction geometric sum for
-  K_msg/P >= 2, the shared linear form below that), and
+* the converse-side expression (the closed-form geometric sum
+  (N**w - 1)/((N - 1) N**(w-1)), w = floor(K_msg/P), plus the remainder
+  term for K_msg/P > 2; the linear form 1 + (K_msg-P)/(PN) up to 2), and
 * the achievability-side expression built from the complex roots r_i and
   coefficients beta_i.  beta_i comes in closed form from the inverse of a
   Vandermonde system; the rate it defines is an exact rational, a ratio of
@@ -13,9 +16,9 @@ retrieving P messages out of K_msg from N replicated servers:
 
 On top of those, ``theorem1_bounds`` produces the bracket for the capacity
 of inner-product retrieval with K files (K_msg = K(K+1)/2 virtual messages)
-including the geometric correction term c * lambda2**(L-1) that vanishes as
-file length grows, and ``corollary_limits`` evaluates the exact limits in
-the two collapsing regimes.
+including the geometric correction term lambda2**(L-1) that vanishes as
+file length grows, and ``corollary_limits`` returns the converse where the
+two ends collapse.
 
 Orientation note: evaluated at (K_msg=2, P=1, N=2) the beta/r fraction
 equals 2/3, which is the known single-message retrieval *rate*; this module
@@ -24,10 +27,11 @@ inverse rate.  The converse side is the floor/fraction sum.  Both choices
 are validated by the P=1 geometric-sum identity and the tightness of the
 two formulas at K_msg/P = 2 (see tests).
 
-The bounds and the rate fraction are floats and exact integers.  Only the
-beta_i residual gate (``solve_root_coefficients``, which the verbose
-capacity grid reports as ``beta_residual``) works in mpmath's extended
-precision, and mpmath is imported there, where it runs.
+Every bound is an exact ``Fraction``; callers convert to float once, where
+a number leaves for a report.  Only the beta_i residual gate
+(``solve_root_coefficients``, which the verbose capacity grid reports as
+``beta_residual``) works in mpmath's extended precision, and mpmath is
+imported there, where it runs.
 """
 
 from __future__ import annotations
@@ -76,43 +80,46 @@ class RootCoefficients:
 class CapacityBounds:
     """Bracket on the inverse capacity 1/C.
 
-    ``inv_rate_upper`` comes from the converse side (it upper-bounds the
-    capacity C) and ``inv_rate_lower`` from the achievability side (it
-    lower-bounds C); as inverse rates the achievability number is the larger
-    one.  ``correction`` is c * lambda2**(L-1), subtracted from the converse
-    end for finite file length.
+    ``converse`` is the smaller inverse rate (it upper-bounds the capacity
+    C) and ``achievable`` the larger (it lower-bounds C), both exact.
+    ``correction`` is lambda2**(L-1), subtracted from the converse end for
+    finite file length.
     """
 
-    inv_rate_upper: float
-    inv_rate_lower: float
+    converse: Fraction
+    achievable: Fraction
     lambda2: float | None = None
     correction: float | None = None
 
     @property
     def bracket(self) -> tuple[float, float]:
-        """(low, high) bracket on 1/C."""
-        low = self.inv_rate_upper - (self.correction or 0.0)
-        return (low, self.inv_rate_lower)
+        """(low, high) bracket on 1/C, as floats."""
+        return (float(self.converse) - (self.correction or 0.0), float(self.achievable))
 
 
-def inverse_rate_converse(bq: BoundQuery) -> float:
-    """Converse-side inverse rate.
+def _linear_inverse_rate(K: int, P: int, N: int) -> Fraction:
+    # both sides' value for K/P <= 2
+    return 1 + Fraction(K - P, P * N)
+
+
+def inverse_rate_converse(bq: BoundQuery) -> Fraction:
+    """Converse-side inverse rate, exact.
 
     Returns 1 + (K-P)/(PN) when K/P <= 2, otherwise the geometric sum
-    sum_{i<floor(K/P)} N**-i + (K/P - floor(K/P)) * N**-floor(K/P).
-    The two expressions agree at K/P = 2, and at N = 1 both reduce to K/P.
+    sum_{i<w} N**-i = (N**w - 1)/((N - 1) N**(w-1)), w = floor(K/P), plus
+    the remainder term (K/P - w) * N**-w.  The two expressions agree at
+    K/P = 2, and at N = 1 both reduce to K/P.
     """
     K, P, N = bq.K_msg, bq.P, bq.N
-    if K / P <= 2:
-        return 1.0 + (K - P) / (P * N)
-    whole = K // P
-    frac = (K - whole * P) / P
-    total = sum(N ** float(-i) for i in range(whole))
-    return total + frac * N ** float(-whole)
+    if K <= 2 * P:
+        return _linear_inverse_rate(K, P, N)
+    w, rem = divmod(K, P)
+    geometric = Fraction(N**w - 1, (N - 1) * N ** (w - 1)) if N > 1 else Fraction(w)
+    return geometric + Fraction(rem, P * N**w)
 
 
 # mpmath's precision is one process-wide setting that workdps sets and
-# restores; two threads inside it at once (the capacity grid's pool) would
+# restores; two threads inside it at once (a library caller's pool) would
 # compute at each other's precision and leave it raised
 _MP_LOCK = threading.Lock()
 
@@ -213,8 +220,8 @@ def achievable_rate_fraction(bq: BoundQuery) -> Fraction:
     return Fraction((N - 1) * N ** (e - 1) * A, N**e * A - B)
 
 
-def inverse_rate_achievable(bq: BoundQuery) -> float:
-    """Achievability-side inverse rate.
+def inverse_rate_achievable(bq: BoundQuery) -> Fraction:
+    """Achievability-side inverse rate, exact.
 
     With N = 1 the single server must ship everything, so this is K/P,
     equal to the converse.  For K/P < 2 it equals the shared closed form
@@ -224,10 +231,10 @@ def inverse_rate_achievable(bq: BoundQuery) -> float:
     """
     K, P, N = bq.K_msg, bq.P, bq.N
     if N == 1:
-        return K / P
-    if K / P < 2:
-        return 1.0 + (K - P) / (P * N)
-    return 1.0 / float(achievable_rate_fraction(bq))
+        return Fraction(K, P)
+    if K < 2 * P:
+        return _linear_inverse_rate(K, P, N)
+    return 1 / achievable_rate_fraction(bq)
 
 
 def theorem1_bounds(
@@ -236,52 +243,43 @@ def theorem1_bounds(
     N: int,
     L: int | None = None,
     lambda2: float | None = None,
-    c: float = 1.0,
 ) -> CapacityBounds:
     """Bracket on 1/C for retrieving P of the K(K+1)/2 pairwise inner
     products of K files from N servers.
 
     With L and lambda2 supplied, the converse end is lowered by the finite-
-    length correction c * lambda2**(L-1); lambda2 must lie in [0, 1) and
-    c must be nonnegative.  Omitting L (or lambda2) gives the L -> infinity
-    bracket.
+    length correction lambda2**(L-1); lambda2 must lie in [0, 1).  Omitting
+    L (or lambda2) gives the L -> infinity bracket.
     """
     K_msg = K_files * (K_files + 1) // 2
     if P > K_msg:
         raise ValueError(f"P={P} exceeds the {K_msg} inner products of K={K_files}")
-    if c < 0:
-        raise ValueError("correction constant c must be >= 0")
     correction = None
     if L is not None and lambda2 is not None:
         if not 0 <= lambda2 < 1:
             raise ValueError("lambda2 must lie in [0, 1)")
         if L < 1:
             raise ValueError("L must be >= 1")
-        correction = c * lambda2 ** (L - 1)
+        correction = lambda2 ** (L - 1)
     bq = BoundQuery(K_msg, P, N)
     return CapacityBounds(
-        inv_rate_upper=inverse_rate_converse(bq),
-        inv_rate_lower=inverse_rate_achievable(bq),
+        converse=inverse_rate_converse(bq),
+        achievable=inverse_rate_achievable(bq),
         lambda2=lambda2,
         correction=correction,
     )
 
 
-def corollary_limits(K_files: int, P: int, N: int) -> float | None:
+def corollary_limits(K_files: int, P: int, N: int) -> Fraction | None:
     """Exact limit of 1/C as L -> infinity, when the bracket collapses.
 
-    Returns 1 + (K(K+1) - 2P)/(2PN) when K(K+1)/(2P) <= 2, the plain
-    geometric sum when K(K+1)/(2P) is an integer, and None otherwise.
-    Raises ValueError where ``BoundQuery`` does (P outside [1, K(K+1)/2],
-    N < 1).
+    The bracket collapses when K_msg = K(K+1)/2 is at most 2P or a multiple
+    of P; the limit is then the converse, and None otherwise.  Raises
+    ValueError where ``BoundQuery`` does (P outside [1, K_msg], N < 1).
     """
-    BoundQuery(K_files * (K_files + 1) // 2, P, N)  # validates P and N
-    num, den = K_files * (K_files + 1), 2 * P
-    if num <= 2 * den:
-        return 1.0 + (num - den) / (den * N)
-    if num % den == 0:
-        ratio = num // den
-        return float(sum(N ** float(-i) for i in range(ratio)))
+    bq = BoundQuery(K_files * (K_files + 1) // 2, P, N)
+    if bq.K_msg <= 2 * P or bq.K_msg % P == 0:
+        return inverse_rate_converse(bq)
     return None
 
 
@@ -291,9 +289,9 @@ def capacity_grid(
     """Bound rows over a parameter grid, skipping P > K_msg combinations.
 
     Each row carries K_files, K_msg, P, N, both inverse rates, and the
-    collapsed limit (or None).  ``verbose`` adds the raw rate fraction and
-    the coefficient-system residual for transparency on the orientation
-    choice.
+    collapsed limit (or None), each the correctly rounded float of its
+    exact value.  ``verbose`` adds the raw rate fraction and the
+    coefficient-system residual for transparency on the orientation choice.
     """
     rows = []
     for K_files in K_files_list:
@@ -303,21 +301,22 @@ def capacity_grid(
                 continue
             for N in N_list:
                 bq = BoundQuery(K_msg, P, N)
-                with_fraction = verbose and N >= 2 and K_msg >= 2 * P
-                frac = float(achievable_rate_fraction(bq)) if with_fraction else None
-                achievable = 1.0 / frac if with_fraction else inverse_rate_achievable(bq)
+                achievable = inverse_rate_achievable(bq)
+                limit = corollary_limits(K_files, P, N)
                 row = {
                     "K_files": K_files,
                     "K_msg": K_msg,
                     "P": P,
                     "N": N,
-                    "inv_rate_converse": inverse_rate_converse(bq),
-                    "inv_rate_achievable": achievable,
-                    "limit": corollary_limits(K_files, P, N),
+                    "inv_rate_converse": float(inverse_rate_converse(bq)),
+                    "inv_rate_achievable": float(achievable),
+                    "limit": None if limit is None else float(limit),
                 }
                 if verbose:
-                    row["rate_fraction_as_printed"] = frac
-                    row["rate_fraction_reciprocal"] = achievable if with_fraction else None
+                    # the achievable end is the rate fraction's reciprocal here
+                    with_fraction = N >= 2 and K_msg >= 2 * P
+                    row["rate_fraction_as_printed"] = float(1 / achievable) if with_fraction else None
+                    row["rate_fraction_reciprocal"] = float(achievable) if with_fraction else None
                     row["beta_residual"] = (
                         solve_root_coefficients(bq).max_residual if with_fraction else None
                     )
@@ -325,9 +324,10 @@ def capacity_grid(
     return rows
 
 
-def single_message_inverse_rate(K_msg: int, N: int) -> float:
-    """Independent P = 1 oracle: the geometric sum 1 + 1/N + ... + N**-(K-1)."""
-    return float(sum(N ** float(-i) for i in range(K_msg)))
+def single_message_inverse_rate(K_msg: int, N: int) -> Fraction:
+    """Independent P = 1 oracle: the geometric sum 1 + 1/N + ... + N**-(K-1),
+    term by term."""
+    return sum(Fraction(1, N**i) for i in range(K_msg))
 
 
 __all__ = [

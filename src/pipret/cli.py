@@ -28,7 +28,8 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
+# unused here; perfbench/tracing.py patches cli.ThreadPoolExecutor by name
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,35 +94,17 @@ def parse_range(text) -> list[int]:
     return [int(text)]
 
 
-def _pool_map(fn, items):
-    workers = min(4, os.cpu_count() or 1)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # --- subcommand handlers --------------------------------------------------------
 
 
 def cmd_capacity(params: dict, master_seed: int):
-    K_list = parse_range(params["K"])
-    P_list = parse_range(params["P"])
-    N_list = parse_range(params["N"])
-    verbose = bool(params.get("verbose", False))
-    points = [
-        (kf, p, n)
-        for kf in K_list
-        for p in P_list
-        if p <= kf * (kf + 1) // 2
-        for n in N_list
-    ]
-
-    def eval_point(point):
-        kf, p, n = point
-        return bounds.capacity_grid([kf], [p], [n], verbose=verbose)[0]
-
-    return _pool_map(eval_point, points), EXIT_OK
+    rows = bounds.capacity_grid(
+        parse_range(params["K"]),
+        parse_range(params["P"]),
+        parse_range(params["N"]),
+        verbose=bool(params.get("verbose", False)),
+    )
+    return rows, EXIT_OK
 
 
 def cmd_spectrum(params: dict, master_seed: int):
@@ -217,7 +200,7 @@ def cmd_simulate(params: dict, master_seed: int):
     }
     if K is not None:
         lam2 = spectral.lambda2(q, int(K))
-        cb = bounds.theorem1_bounds(int(K), P, N, L=L, lambda2=lam2, c=1.0)
+        cb = bounds.theorem1_bounds(int(K), P, N, L=L, lambda2=lam2)
         results["theorem_bracket"] = {
             "lambda2": lam2,
             "L": L,
@@ -307,7 +290,7 @@ def cmd_ml_demo(params: dict, master_seed: int):
     if task in ("svm", "regression") and label is None:
         raise ValueError(f"task {task!r} needs --label")
     X, y, names = _read_csv_dataset(str(params["data"]), label)
-    private = bool(params.get("private", False)) and not bool(params.get("direct", False))
+    private = bool(params.get("private", False))
 
     result = {
         "task": task,
@@ -523,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["svm", "regression", "pca"])
     p.add_argument("--private", action="store_const", const=True, default=None,
                    help="produce the Gram matrix through the retrieval simulator")
-    p.add_argument("--direct", action="store_const", const=True, default=None,
-                   help="compute the Gram matrix directly (default)")
     p.add_argument("--scale", type=float, help="fixed-point scale")
     p.add_argument("--q", type=int, help="codec modulus (prime)")
     p.add_argument("--max-abs", type=float, dest="max_abs")

@@ -21,9 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-# int64 products a*b stay exact below this modulus; larger q falls back to
-# Python integers (q above 2**61 is rejected outright).
-_VEC_MODULUS_LIMIT = 2**31
 _MAX_MODULUS = 2**61
 _INT64_MAX = 2**63 - 1
 
@@ -137,7 +134,8 @@ class FieldVector:
 
 
 def inner_product(a: FieldVector, b: FieldVector) -> FieldElement:
-    """Exact inner product sum_l a_l * b_l mod q of two field vectors.
+    """Exact inner product sum_l a_l * b_l mod q of two field vectors: the
+    {1,2} entry of the table of the two-file database [a; b].
 
     Raises ValueError on length or modulus mismatch.
     """
@@ -145,12 +143,7 @@ def inner_product(a: FieldVector, b: FieldVector) -> FieldElement:
         raise ValueError(f"modulus mismatch: {a.q} vs {b.q}")
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    q = a.q
-    if q < _VEC_MODULUS_LIMIT:
-        total = int(np.sum((a.values * b.values) % q) % q)
-    else:
-        total = sum(int(x) * int(y) % q for x, y in zip(a.values, b.values)) % q
-    return FieldElement(total, q)
+    return compute_table(Database(a.q, np.stack([a.values, b.values]))).get(PairIndex(1, 2))
 
 
 @dataclass(frozen=True)

@@ -770,8 +770,8 @@ def rate_summary(transcripts, n_servers: int) -> dict:
     T, P = t0.space.T, len(t0.request)
     bq = BoundQuery(T, P, n_servers)
     measured = measure_rate(transcripts)
-    converse = inverse_rate_converse(bq)
-    achievable = inverse_rate_achievable(bq)
+    converse = float(inverse_rate_converse(bq))
+    achievable = float(inverse_rate_achievable(bq))
     return {
         "scheme": t0.scheme,
         "T": T,

@@ -2,6 +2,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from math import comb
 
 import mpmath as mp
 import numpy as np
@@ -25,25 +26,23 @@ from pipret.bounds import (
 
 
 def test_converse_examples():
-    assert inverse_rate_converse(BoundQuery(3, 2, 2)) == pytest.approx(1.25, abs=1e-12)
-    assert inverse_rate_converse(BoundQuery(6, 2, 2)) == pytest.approx(1.75, abs=1e-12)
+    assert inverse_rate_converse(BoundQuery(3, 2, 2)) == Fraction(5, 4)
+    assert inverse_rate_converse(BoundQuery(6, 2, 2)) == Fraction(7, 4)
 
 
 def test_converse_boundary_consistency():
     # at K/P = 2 the linear form and the floor/fraction sum agree
-    linear = 1 + 2 / (2 * 7)
-    geometric = 1 + 1 / 7
+    linear = 1 + Fraction(2, 2 * 7)
+    geometric = 1 + Fraction(1, 7)
     got = inverse_rate_converse(BoundQuery(4, 2, 7))
-    assert got == pytest.approx(linear, abs=1e-12)
-    assert got == pytest.approx(geometric, abs=1e-12)
+    assert got == linear
+    assert got == geometric
 
 
 def test_converse_n1_telescopes_to_k_over_p():
     for K in range(1, 12):
         for P in range(1, K + 1):
-            assert inverse_rate_converse(BoundQuery(K, P, 1)) == pytest.approx(
-                K / P, abs=1e-12
-            )
+            assert inverse_rate_converse(BoundQuery(K, P, 1)) == Fraction(K, P)
 
 
 def test_root_coefficients_examples():
@@ -62,20 +61,18 @@ def test_root_coefficients_n1_degenerate():
 
 
 def test_achievable_examples():
-    assert inverse_rate_achievable(BoundQuery(2, 1, 2)) == pytest.approx(1.5, abs=1e-9)
-    assert inverse_rate_achievable(BoundQuery(3, 1, 2)) == pytest.approx(1.75, abs=1e-9)
+    assert inverse_rate_achievable(BoundQuery(2, 1, 2)) == Fraction(3, 2)
+    assert inverse_rate_achievable(BoundQuery(3, 1, 2)) == Fraction(7, 4)
     bq = BoundQuery(4, 2, 2)
-    assert inverse_rate_achievable(bq) == pytest.approx(
-        inverse_rate_converse(bq), abs=1e-9
-    )
+    assert inverse_rate_achievable(bq) == inverse_rate_converse(bq)
 
 
 def test_achievable_at_one_server_is_full_download():
     for K in range(1, 9):
         for P in range(1, K + 1):
             bq = BoundQuery(K, P, 1)
-            assert inverse_rate_achievable(bq) == K / P
-            assert inverse_rate_converse(bq) == pytest.approx(K / P, abs=1e-12)
+            assert inverse_rate_achievable(bq) == Fraction(K, P)
+            assert inverse_rate_converse(bq) == Fraction(K, P)
 
 
 def test_rate_fraction_orientation():
@@ -102,7 +99,7 @@ def test_single_message_reduction_grid():
         for K in range(2, 11):
             got = inverse_rate_achievable(BoundQuery(K, 1, N))
             want = single_message_inverse_rate(K, N)
-            assert abs(got - want) < 1e-9
+            assert got == want
 
 
 def test_tightness_at_ratio_two():
@@ -111,7 +108,7 @@ def test_tightness_at_ratio_two():
             # at K/P = 2 the exact achievable inverse rate is the converse 1 + 1/N
             bq = BoundQuery(2 * P, P, N)
             assert 1 / achievable_rate_fraction(bq) == 1 + Fraction(1, N)
-            assert inverse_rate_converse(bq) == pytest.approx(1 + 1 / N, abs=1e-12)
+            assert inverse_rate_converse(bq) == 1 + Fraction(1, N)
 
 
 def test_achievable_never_beats_converse_grid():
@@ -121,9 +118,62 @@ def test_achievable_never_beats_converse_grid():
                 bq = BoundQuery(K, P, N)
                 ach = inverse_rate_achievable(bq)
                 con = inverse_rate_converse(bq)
-                assert ach >= con - 1e-9
-                assert 1.0 - 1e-12 <= con <= K / P + 1e-9
-                assert 1.0 - 1e-12 <= ach <= K / P + 1e-9
+                assert ach >= con
+                assert 1 <= con <= Fraction(K, P)
+                assert 1 <= ach <= Fraction(K, P)
+
+
+def _converse_oracle(K, P, N):
+    """The converse term by term: the linear form up to K/P = 2, above it
+    sum_(i<w) N**-i plus the remainder (K/P - w) N**-w, w = floor(K/P)."""
+    if K <= 2 * P:
+        return 1 + Fraction(K - P, P * N)
+    w = K // P
+    return sum(Fraction(1, N**i) for i in range(w)) + Fraction(K - w * P, P) / N**w
+
+
+def _achievable_oracle(K, P, N):
+    """The achievable inverse rate from the beta/r fraction as the LU oracle
+    writes it, through gamma_k = sum_i beta_i r_i**k.  (r_i + 1)**P = N r_i**P
+    gives (N-1) gamma_(k+P) = sum_(j<P) C(P,j) gamma_(k+j), and the defining
+    system seeds gamma_(-P) = (N-1)**(K-P), gamma_(-P+1..-1) = 0.  In
+    g_k = gamma_k (N-1)**(k+P) the recursion stays in integers."""
+    if N == 1:
+        return Fraction(K, P)
+    if K < 2 * P:
+        return 1 + Fraction(K - P, P * N)
+    g = dict.fromkeys(range(-P, 0), 0)
+    g[-P] = (N - 1) ** (K - P)
+    for k in range(K + 1):
+        g[k] = sum(comb(P, j) * g[k - P + j] * (N - 1) ** (P - 1 - j) for j in range(P))
+
+    def scaled(k):  # gamma_k (N-1)**(K+P)
+        return g[k] * (N - 1) ** (K - k)
+
+    # with gamma_k, sum_i beta_i r_i**(K-P) (1 + 1/r_i)**K = sum_j C(K,j) gamma_(j-P)
+    head = sum(comb(K, j) * scaled(j - P) for j in range(K + 1))
+    rate_num = head - sum(comb(K - P, j) * scaled(j) for j in range(K - P + 1))
+    return Fraction(head - scaled(K - P), rate_num)
+
+
+def test_bounds_equal_exact_sums_on_grid():
+    """Every bound equals its term-by-term rational, with no tolerance, over
+    K_files <= 10, P <= min(T, 64), N <= 8; the limit is the common value of
+    both ends wherever the bracket collapses."""
+    for K_files in range(1, 11):
+        T = K_files * (K_files + 1) // 2
+        for P in range(1, min(T, 64) + 1):
+            for N in range(1, 9):
+                bq = BoundQuery(T, P, N)
+                converse = _converse_oracle(T, P, N)
+                achievable = _achievable_oracle(T, P, N)
+                assert inverse_rate_converse(bq) == converse, (K_files, P, N)
+                assert inverse_rate_achievable(bq) == achievable, (K_files, P, N)
+                if T <= 2 * P or T % P == 0:
+                    assert achievable == converse, (K_files, P, N)
+                    assert corollary_limits(K_files, P, N) == converse, (K_files, P, N)
+                else:
+                    assert corollary_limits(K_files, P, N) is None, (K_files, P, N)
 
 
 def _lu_oracle(K, P, N):
@@ -180,12 +230,14 @@ def test_beta_residuals_grid():
 
 def test_theorem1_bounds_examples():
     cb = theorem1_bounds(2, 2, 2)
-    assert cb.bracket == (pytest.approx(1.25, abs=1e-9), pytest.approx(1.25, abs=1e-9))
+    assert cb.bracket == (1.25, 1.25)
     cb = theorem1_bounds(3, 2, 2)
-    assert cb.inv_rate_upper == pytest.approx(1.75, abs=1e-9)
-    cb = theorem1_bounds(2, 2, 2, L=1, lambda2=0.5, c=1.0)
-    assert cb.correction == pytest.approx(1.0, abs=1e-12)
-    assert cb.bracket[0] == pytest.approx(0.25, abs=1e-9)
+    assert cb.converse == Fraction(7, 4)
+    cb = theorem1_bounds(2, 2, 2, L=1, lambda2=0.5)
+    assert cb.correction == 1.0
+    assert cb.bracket[0] == 0.25
+    cb = theorem1_bounds(2, 2, 2, L=4, lambda2=0.5)
+    assert cb.correction == 0.125
 
 
 def test_theorem1_bounds_orientation():
@@ -193,7 +245,7 @@ def test_theorem1_bounds_orientation():
     for K_files in (2, 3, 4):
         for P in (1, 2, 3):
             cb = theorem1_bounds(K_files, P, 2)
-            assert cb.inv_rate_lower >= cb.inv_rate_upper - 1e-9
+            assert cb.achievable >= cb.converse
 
 
 def test_theorem1_bounds_errors():
@@ -201,15 +253,13 @@ def test_theorem1_bounds_errors():
         theorem1_bounds(2, 4, 2)
     with pytest.raises(ValueError, match="lambda2"):
         theorem1_bounds(2, 2, 2, L=3, lambda2=1.5)
-    with pytest.raises(ValueError, match="c must"):
-        theorem1_bounds(2, 2, 2, L=3, lambda2=0.5, c=-1.0)
 
 
 def test_corollary_limits_examples():
-    assert corollary_limits(2, 2, 2) == pytest.approx(1.25, abs=1e-12)
-    assert corollary_limits(3, 3, 3) == pytest.approx(1 + 1 / 3, abs=1e-12)
-    assert corollary_limits(3, 4, 2) == pytest.approx(1.25, abs=1e-12)
-    assert corollary_limits(3, 2, 2) == pytest.approx(1.75, abs=1e-12)
+    assert corollary_limits(2, 2, 2) == Fraction(5, 4)
+    assert corollary_limits(3, 3, 3) == Fraction(4, 3)
+    assert corollary_limits(3, 4, 2) == Fraction(5, 4)
+    assert corollary_limits(3, 2, 2) == Fraction(7, 4)
     # ratio 10/4 = 2.5 is above two and fractional: bounds do not collapse
     assert corollary_limits(4, 4, 2) is None
 
@@ -231,8 +281,8 @@ def test_corollary_matches_theorem_when_collapsed():
                 if limit is None:
                     continue
                 cb = theorem1_bounds(K_files, P, N)
-                assert limit == pytest.approx(cb.inv_rate_upper, abs=1e-9)
-                assert limit == pytest.approx(cb.inv_rate_lower, abs=1e-9)
+                assert limit == cb.converse
+                assert limit == cb.achievable
 
 
 def test_bound_query_validation():
@@ -281,8 +331,6 @@ def test_capacity_grid_rows():
     for row in rows:
         assert row["K_msg"] == row["K_files"] * (row["K_files"] + 1) // 2
         bq = BoundQuery(row["K_msg"], row["P"], row["N"])
-        assert row["inv_rate_converse"] == inverse_rate_converse(bq)
+        assert row["inv_rate_converse"] == float(inverse_rate_converse(bq))
         if row["rate_fraction_as_printed"] is not None:
-            assert row["rate_fraction_reciprocal"] == pytest.approx(
-                row["inv_rate_achievable"], abs=1e-9
-            )
+            assert row["rate_fraction_reciprocal"] == row["inv_rate_achievable"]

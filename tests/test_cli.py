@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipret import acceptance, bounds, cli, spectral
+from pipret import acceptance, bounds, spectral
 from pipret.cli import (
     EXIT_ACCEPTANCE,
     EXIT_IO,
@@ -47,13 +47,11 @@ def test_capacity_command(capsys):
     payload = json.loads(out)
     rows = payload["results"]
     by_key = {(r["K_files"], r["P"], r["N"]): r for r in rows}
-    assert by_key[(2, 2, 2)]["inv_rate_converse"] == pytest.approx(1.25)
-    assert by_key[(3, 2, 2)]["inv_rate_converse"] == pytest.approx(1.75)
+    assert by_key[(2, 2, 2)]["inv_rate_converse"] == 1.25
+    assert by_key[(3, 2, 2)]["inv_rate_converse"] == 1.75
     for row in rows:
         bq = bounds.BoundQuery(row["K_msg"], row["P"], row["N"])
-        assert row["inv_rate_achievable"] == pytest.approx(
-            bounds.inverse_rate_achievable(bq), abs=1e-12
-        )
+        assert row["inv_rate_achievable"] == float(bounds.inverse_rate_achievable(bq))
 
 
 def test_capacity_verbose_emits_both_orientations(capsys):
@@ -351,17 +349,24 @@ def test_simulate_repeated_pir_report_is_pinned():
     )
 
 
-def test_capacity_reports_byte_identical_with_pool(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    parser = build_parser()
-    args = parser.parse_args(
-        ["capacity", "--K", "2..5", "--P", "1..6", "--N", "2..4", "--verbose"]
-    )
-    config = resolve_config(args)
-    first = render_report(dispatch(config)[0], config.fmt)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    second = render_report(dispatch(config)[0], config.fmt)
-    assert first == second
+def test_capacity_rows_are_one_capacity_grid_call(monkeypatch, capsys):
+    calls = []
+    grid = bounds.capacity_grid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return grid(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "capacity_grid", counted)
+    for verbose in ([], ["--verbose"]):
+        calls.clear()
+        code, out, _ = _run(
+            ["capacity", "--K", "2..5", "--P", "1..6", "--N", "2..4", *verbose], capsys
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        want = grid(range(2, 6), range(1, 7), range(2, 5), verbose=bool(verbose))
+        assert json.loads(out)["results"] == want
 
 
 def test_output_file_written_atomically(tmp_path, capsys):
@@ -468,7 +473,7 @@ def test_simulate_reports_the_bracket_beyond_the_table_limit(capsys):
     assert code == EXIT_OK, err
     bracket = json.loads(out)["results"]["theorem_bracket"]
     assert bracket["lambda2"] == 0.5 and bracket["L"] == 4
-    cb = bounds.theorem1_bounds(6, 1, 2, L=4, lambda2=0.5, c=1.0)
+    cb = bounds.theorem1_bounds(6, 1, 2, L=4, lambda2=0.5)
     assert (bracket["bracket_low"], bracket["bracket_high"]) == cb.bracket
 
 
