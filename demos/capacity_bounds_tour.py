@@ -13,6 +13,7 @@ import numpy as np
 
 from pipret.bounds import (
     BoundQuery,
+    _gamma_rate_fraction,
     achievable_rate_fraction,
     corollary_limits,
     inverse_rate_achievable,
@@ -60,9 +61,11 @@ bq = BoundQuery(6, 2, 2)
 rc = solve_root_coefficients(bq)
 print(f"  roots     : {np.round(rc.roots, 6)}")
 print(f"  betas     : {np.round(rc.coefficients, 6)} (Vandermonde inverse, closed form)")
-print(f"  residual  : {rc.max_residual:.2e} (defining equations)")
+print(f"  residual  : {rc.max_residual:.2e} (defining equations: zero by algebra, up to rounding)")
 frac = achievable_rate_fraction(bq)
+gamma = _gamma_rate_fraction(bq.K_msg, bq.P, bq.N)
 print(f"  fraction  : {frac} = {float(frac):.6f} -> inverse rate {float(1 / frac):.6f}")
+print(f"  gamma rate: {gamma} (integer recursion, gamma_j = sum_i beta_i r_i^j)  equal {gamma == frac}")
 print("  (the fraction itself is the rate, an exact rational from two integer")
 print("   sums over the coefficients of (1 + y + ... + y^(P-1))^(K+1-P); its")
 print("   reciprocal is reported)")

@@ -229,17 +229,15 @@ def criterion_capacity_formulas(master_seed: int) -> dict:
     checks.append(("corollary limit (K=2,P=2,N=2) == 1.25", cor1 == 1.25))
     checks.append(("corollary limit (K=3,P=2,N=2) == 1.75", cor2 == 1.75))
 
-    beta_ok = True
-    worst_residual = 0.0
-    for P in range(1, 9):
-        for N in range(2, 9):
-            for K in (2 * P, 2 * P + 3):
-                rc = bounds.solve_root_coefficients(bounds.BoundQuery(K, P, N))
-                worst_residual = max(worst_residual, rc.max_residual)
-                if rc.max_residual >= bounds.RESIDUAL_TOL:
-                    beta_ok = False
-    checks.append(("beta residuals < 1e-9 for P <= 8, N <= 8", beta_ok))
-    return {"checks": checks, "worst_beta_residual": worst_residual, "cor1": float(cor1), "cor2": float(cor2)}
+    gamma_ok = all(
+        bounds.achievable_rate_fraction(bounds.BoundQuery(K, P, N))
+        == bounds._gamma_rate_fraction(K, P, N)
+        for P in range(1, 9)
+        for N in range(2, 9)
+        for K in (2 * P, 2 * P + 3)
+    )
+    checks.append(("rate fraction equals the gamma recursion for P <= 8, N <= 8", gamma_ok))
+    return {"checks": checks, "cor1": float(cor1), "cor2": float(cor2)}
 
 
 def criterion_protocol(master_seed: int) -> dict:

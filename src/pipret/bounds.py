@@ -9,10 +9,8 @@ servers:
   (N**w - 1)/((N - 1) N**(w-1)), w = floor(K_msg/P), plus the remainder
   term for K_msg/P > 2; the linear form 1 + (K_msg-P)/(PN) up to 2), and
 * the achievability-side expression built from the complex roots r_i and
-  coefficients beta_i.  beta_i comes in closed form from the inverse of a
-  Vandermonde system; the rate it defines is an exact rational, a ratio of
-  two integer sums.  An LU solve of the system is the oracle for both in
-  the tests.
+  coefficients beta_i.  The rate it defines is an exact rational, a ratio
+  of two integer sums (``achievable_rate_fraction``).
 
 On top of those, ``theorem1_bounds`` produces the bracket for the capacity
 of inner-product retrieval with K files (K_msg = K(K+1)/2 virtual messages)
@@ -27,11 +25,37 @@ inverse rate.  The converse side is the floor/fraction sum.  Both choices
 are validated by the P=1 geometric-sum identity and the tightness of the
 two formulas at K_msg/P = 2 (see tests).
 
+The beta system holds identically.  Write rho = N**(1/P), w_i the P-th
+roots of unity, u_i = conj(w_i), r_i = w_i/(rho - w_i), x_i = 1/r_i =
+rho u_i - 1 and c = (N-1)**(K-P), K = K_msg.  The system asks
+sum_i beta_i x_i**k = c [k = P] for k = 1..P, and its Vandermonde inverse
+is beta_i = c r_i u_i / (P rho**(P-1)).  Then beta_i x_i**k =
+c u_i x_i**(k-1) / (P rho**(P-1)); expand x_i**(k-1) by the binomial
+theorem.  Term j carries sum_i u_i**(j+1), which is P when P divides j+1
+and 0 otherwise.  As j+1 runs over 1..k <= P, only j = P-1 at k = P
+survives, and it gives c.  So a residual of the system measures rounding
+alone, and no check here computes one.
+
+The gamma recursion checks the rate with integers alone.  Let gamma_j =
+sum_i beta_i r_i**j.  Each root has (1 + r)/r = rho/w, so
+(1 + r)**P = N r**P, and multiplying by beta_i r_i**j and summing gives
+(N-1) gamma_(j+P) = sum_(t<P) C(P, t) gamma_(j+t).  The beta system is the
+seed: gamma_(-P) = c and gamma_(-P+1) = ... = gamma_(-1) = 0.  With
+1 + r_i = rho r_i u_i and beta_i r_i**j = c u_i x_i**(-j-1) / (P rho**(P-1)),
+the sums S1 and S0 of ``achievable_rate_fraction`` are S1 = P S /
+(c rho**(K-P+1)) and S0 = P gamma_(K-P) / (c rho**(1-P)), where S =
+sum_i beta_i r_i**(-P) (1 + r_i)**K = sum_k C(K, k) gamma_(k-P).  So the
+fraction is rate = ((N-1)/N) S / (S - gamma_(K-P)).  Scaling h_t = gamma_(t-P)
+(N-1)**(t-K+P) makes every term an integer: h_0 = 1, h_1 = ... = h_(P-1)
+= 0, h_t = sum_(j<P) C(P, j) (N-1)**(P-1-j) h_(t-P+j), and rate =
+(N-1) S' / (N (S' - h_K)) with S' = sum_k C(K, k) (N-1)**(K-k) h_k.  The
+verbose capacity grid and acceptance criterion 6 demand that this equal
+the closed form exactly.
+
 Every bound is an exact ``Fraction``; callers convert to float once, where
-a number leaves for a report.  Only the beta_i residual gate
-(``solve_root_coefficients``, which the verbose capacity grid reports as
-``beta_residual``) works in mpmath's extended precision, and mpmath is
-imported there, where it runs.
+a number leaves for a report.  ``solve_root_coefficients`` evaluates the
+roots and beta_i in mpmath's extended precision; no production path calls
+it, and mpmath is imported there, where it runs.
 """
 
 from __future__ import annotations
@@ -39,6 +63,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -120,7 +145,9 @@ def inverse_rate_converse(bq: BoundQuery) -> Fraction:
 
 # mpmath's precision is one process-wide setting that workdps sets and
 # restores; two threads inside it at once (a library caller's pool) would
-# compute at each other's precision and leave it raised
+# compute at each other's precision and leave it raised.  Only the
+# solve_root_coefficients oracle takes it now; the lock stays with the
+# oracle, which library callers may still run on threads
 _MP_LOCK = threading.Lock()
 
 
@@ -154,6 +181,12 @@ def solve_root_coefficients(bq: BoundQuery) -> RootCoefficients:
     gated at 1e-9; the exported arrays are complex128 downcasts.  Raises
     ValueError for N = 1 (the system degenerates; the converse formula
     covers that case) and ArithmeticError when the residual gate fails.
+
+    No reported number uses beta (the module docstring shows the system
+    holds identically, and the rate is checked by the integer gamma
+    recursion).  The solver is kept as the oracle that the tests' LU solve
+    and the capacity demo compare against, and perfbench's tracer counts
+    its calls by name.
     """
     import mpmath as mp
 
@@ -220,6 +253,17 @@ def achievable_rate_fraction(bq: BoundQuery) -> Fraction:
     return Fraction((N - 1) * N ** (e - 1) * A, N**e * A - B)
 
 
+def _gamma_rate_fraction(K: int, P: int, N: int) -> Fraction:
+    # the rate from the integer gamma recursion (module docstring); N >= 2
+    n1 = N - 1
+    weights = [comb(P, j) * n1 ** (P - 1 - j) for j in range(P)]
+    h = [1] + [0] * (P - 1)
+    for t in range(P, K + 1):
+        h.append(sum(wj * hj for wj, hj in zip(weights, h[t - P :])))
+    S = sum(comb(K, k) * n1 ** (K - k) * hk for k, hk in enumerate(h))
+    return Fraction(n1 * S, N * (S - h[K]))
+
+
 def inverse_rate_achievable(bq: BoundQuery) -> Fraction:
     """Achievability-side inverse rate, exact.
 
@@ -237,6 +281,13 @@ def inverse_rate_achievable(bq: BoundQuery) -> Fraction:
     return 1 / achievable_rate_fraction(bq)
 
 
+def _message_count(K_files: int) -> int:
+    # K_msg = K(K+1)/2 is positive at K = -3 too, so check K_files itself
+    if K_files < 1:
+        raise ValueError(f"K_files must be >= 1, got {K_files}")
+    return K_files * (K_files + 1) // 2
+
+
 def theorem1_bounds(
     K_files: int,
     P: int,
@@ -249,9 +300,10 @@ def theorem1_bounds(
 
     With L and lambda2 supplied, the converse end is lowered by the finite-
     length correction lambda2**(L-1); lambda2 must lie in [0, 1).  Omitting
-    L (or lambda2) gives the L -> infinity bracket.
+    L (or lambda2) gives the L -> infinity bracket.  Raises ValueError for
+    K_files < 1.
     """
-    K_msg = K_files * (K_files + 1) // 2
+    K_msg = _message_count(K_files)
     if P > K_msg:
         raise ValueError(f"P={P} exceeds the {K_msg} inner products of K={K_files}")
     correction = None
@@ -275,9 +327,10 @@ def corollary_limits(K_files: int, P: int, N: int) -> Fraction | None:
 
     The bracket collapses when K_msg = K(K+1)/2 is at most 2P or a multiple
     of P; the limit is then the converse, and None otherwise.  Raises
-    ValueError where ``BoundQuery`` does (P outside [1, K_msg], N < 1).
+    ValueError for K_files < 1 and where ``BoundQuery`` does (P outside
+    [1, K_msg], N < 1).
     """
-    bq = BoundQuery(K_files * (K_files + 1) // 2, P, N)
+    bq = BoundQuery(_message_count(K_files), P, N)
     if bq.K_msg <= 2 * P or bq.K_msg % P == 0:
         return inverse_rate_converse(bq)
     return None
@@ -290,12 +343,14 @@ def capacity_grid(
 
     Each row carries K_files, K_msg, P, N, both inverse rates, and the
     collapsed limit (or None), each the correctly rounded float of its
-    exact value.  ``verbose`` adds the raw rate fraction and the
-    coefficient-system residual for transparency on the orientation choice.
+    exact value.  ``verbose`` adds the raw rate fraction and its reciprocal
+    for transparency on the orientation choice, and raises ArithmeticError
+    where the rate differs from the gamma recursion's.  Raises ValueError
+    for K_files < 1.
     """
     rows = []
     for K_files in K_files_list:
-        K_msg = K_files * (K_files + 1) // 2
+        K_msg = _message_count(K_files)
         for P in P_list:
             if P > K_msg:
                 continue
@@ -314,12 +369,14 @@ def capacity_grid(
                 }
                 if verbose:
                     # the achievable end is the rate fraction's reciprocal here
-                    with_fraction = N >= 2 and K_msg >= 2 * P
-                    row["rate_fraction_as_printed"] = float(1 / achievable) if with_fraction else None
-                    row["rate_fraction_reciprocal"] = float(achievable) if with_fraction else None
-                    row["beta_residual"] = (
-                        solve_root_coefficients(bq).max_residual if with_fraction else None
-                    )
+                    rate = 1 / achievable if N >= 2 and K_msg >= 2 * P else None
+                    if rate is not None and rate != _gamma_rate_fraction(K_msg, P, N):
+                        raise ArithmeticError(
+                            f"rate fraction at (K_msg={K_msg}, P={P}, N={N}) differs "
+                            "from the gamma recursion"
+                        )
+                    row["rate_fraction_as_printed"] = None if rate is None else float(rate)
+                    row["rate_fraction_reciprocal"] = None if rate is None else float(achievable)
                 rows.append(row)
     return rows
 

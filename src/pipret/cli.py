@@ -463,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", help="requested-count grid")
     p.add_argument("--N", help="server-count grid")
     p.add_argument("--verbose", action="store_const", const=True, default=None,
-                   help="also emit the raw rate fraction and beta residuals")
+                   help="also emit the raw rate fraction, checked exactly")
 
     p = sub.add_parser("spectrum", help="lambda2 and irreducibility for one (q, K)")
     common(p)

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pipret import bounds
 from pipret.bounds import (
     BoundQuery,
     _closed_form_system,
+    _gamma_rate_fraction,
     _working_dps,
     achievable_rate_fraction,
     capacity_grid,
@@ -255,6 +257,13 @@ def test_theorem1_bounds_errors():
         theorem1_bounds(2, 2, 2, L=3, lambda2=1.5)
 
 
+@pytest.mark.parametrize("K_files", [0, -1, -3])
+def test_theorem1_bounds_rejects_K_files_below_one(K_files):
+    # K(K+1)/2 is 0 at K = 0 and -1, and 3 at K = -3
+    with pytest.raises(ValueError, match=f"K_files must be >= 1, got {K_files}"):
+        theorem1_bounds(K_files, 1, 2)
+
+
 def test_corollary_limits_examples():
     assert corollary_limits(2, 2, 2) == Fraction(5, 4)
     assert corollary_limits(3, 3, 3) == Fraction(4, 3)
@@ -270,6 +279,12 @@ def test_corollary_limits_validation():
     for K_files, P, N in ((2, 5, 2), (2, 0, 2), (2, 2, 0)):
         with pytest.raises(ValueError):
             corollary_limits(K_files, P, N)
+
+
+@pytest.mark.parametrize("K_files", [0, -1, -3])
+def test_corollary_limits_rejects_K_files_below_one(K_files):
+    with pytest.raises(ValueError, match=f"K_files must be >= 1, got {K_files}"):
+        corollary_limits(K_files, 1, 2)
 
 
 def test_corollary_matches_theorem_when_collapsed():
@@ -299,8 +314,9 @@ def test_bound_query_validation():
 
 
 def test_capacity_grid_rows_identical_across_threads():
-    """mpmath's working precision is process-wide; rows evaluated on four
-    threads with frequent switches must equal the sequential rows."""
+    """Rows and beta oracle values evaluated on four threads with frequent
+    switches must equal the sequential ones; mpmath's working precision,
+    which the oracle sets, is process-wide."""
     points = [
         (K, P, N)
         for K in range(2, 6)
@@ -311,7 +327,8 @@ def test_capacity_grid_rows_identical_across_threads():
 
     def row(point):
         K, P, N = point
-        return capacity_grid([K], [P], [N], verbose=True)
+        rc = solve_root_coefficients(BoundQuery(K * (K + 1) // 2, P, N))
+        return capacity_grid([K], [P], [N], verbose=True), rc.coefficients.tolist()
 
     want = [row(p) for p in points]
     interval = sys.getswitchinterval()
@@ -334,3 +351,28 @@ def test_capacity_grid_rows():
         assert row["inv_rate_converse"] == float(inverse_rate_converse(bq))
         if row["rate_fraction_as_printed"] is not None:
             assert row["rate_fraction_reciprocal"] == row["inv_rate_achievable"]
+
+
+def test_gamma_recursion_equals_rate_fraction_on_grid():
+    for K in range(2, 41):
+        for P in range(1, K // 2 + 1):
+            for N in (2, 3, 5, 8):
+                want = achievable_rate_fraction(BoundQuery(K, P, N))
+                assert _gamma_rate_fraction(K, P, N) == want, (K, P, N)
+
+
+def test_capacity_verbose_rejects_a_rate_off_by_far_below_float_resolution(monkeypatch):
+    # an error of 1e-30 survives no float conversion; the exact gate sees it
+    exact = bounds.achievable_rate_fraction
+    monkeypatch.setattr(
+        bounds, "achievable_rate_fraction", lambda bq: exact(bq) + Fraction(1, 10**30)
+    )
+    capacity_grid([2, 3], [1, 2], [2, 3])  # the plain grid carries no gate
+    with pytest.raises(ArithmeticError, match="gamma recursion"):
+        capacity_grid([2, 3], [1, 2], [2, 3], verbose=True)
+
+
+@pytest.mark.parametrize("K_files", [[0], [-3], [2, 0]])
+def test_capacity_grid_rejects_K_files_below_one(K_files):
+    with pytest.raises(ValueError, match="K_files must be >= 1"):
+        capacity_grid(K_files, [1], [2])

@@ -63,7 +63,18 @@ def test_capacity_verbose_emits_both_orientations(capsys):
     # K_files = 3 means K_msg = 6 single-message units: rate 32/63
     assert row["rate_fraction_as_printed"] == pytest.approx(32 / 63, abs=1e-9)
     assert row["rate_fraction_reciprocal"] == pytest.approx(63 / 32, abs=1e-9)
-    assert row["beta_residual"] < 1e-9
+    assert set(row) == {
+        "K_files", "K_msg", "P", "N", "inv_rate_converse", "inv_rate_achievable",
+        "limit", "rate_fraction_as_printed", "rate_fraction_reciprocal",
+    }
+
+
+@pytest.mark.parametrize("K,bad", [("-3..1", -3), ("0", 0)])
+def test_capacity_rejects_K_below_one(K, bad, capsys):
+    code, out, err = _run(["capacity", f"--K={K}", "--P", "1", "--N", "2"], capsys)
+    assert code == EXIT_VALIDATION
+    assert f"K_files must be >= 1, got {bad}" in err
+    assert out == ""
 
 
 def test_spectrum_command_exact_keys(capsys):
@@ -522,6 +533,8 @@ seen["ml-demo"] = run("ml-demo", "--data", sys.argv[1], "--label", "label",
 from pipret import acceptance
 assert all(ok for _, ok in acceptance.criterion_spectral_exactness(0)["checks"])
 seen["criterion 1"] = heavy()
+assert all(ok for _, ok in acceptance.criterion_capacity_formulas(0)["checks"])
+seen["criterion 6"] = heavy()
 seen["audit"] = run("audit", "--scheme", "repeated_pir", "--mode", "sampled",
                     "--samples", "10000", "--T", "2", "--q", "5", "--N", "2", "--P", "1")
 seen["capacity"] = run("capacity", "--K", "3", "--P", "1", "--N", "2", "--verbose")
@@ -531,8 +544,9 @@ print(json.dumps(seen))
 
 def test_scipy_and_mpmath_load_only_where_they_are_used(tmp_path):
     """One fresh process: importing pipret loads neither scipy nor mpmath,
-    nor does criterion 1's Fourier transform; the audit p-value loads
-    scipy.special alone, and the verbose capacity residual loads mpmath."""
+    nor do criterion 1's Fourier transform and criterion 6's rate checks;
+    the audit p-value loads scipy.special alone, and the verbose capacity
+    grid, checked by integers, loads no mpmath."""
     data = tmp_path / "data.csv"
     _write_dataset(data)
     env = dict(os.environ)
@@ -545,8 +559,9 @@ def test_scipy_and_mpmath_load_only_where_they_are_used(tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     seen = json.loads(done.stdout)
-    for step in ("import", "spectrum", "converge", "simulate", "ml-demo", "criterion 1"):
+    for step in ("import", "spectrum", "converge", "simulate", "ml-demo", "criterion 1",
+                 "criterion 6"):
         assert seen[step] == [], step
     assert "scipy.special" in seen["audit"]
     assert not any(m.startswith(("scipy.stats", "mpmath")) for m in seen["audit"])
-    assert "mpmath" in seen["capacity"]
+    assert not any(m.startswith("mpmath") for m in seen["capacity"])
