@@ -19,13 +19,10 @@ from .bounds import (
 )
 from .fields import (
     Database,
-    FieldElement,
-    FieldVector,
     InnerProductVector,
     PairIndex,
     PairOrdering,
     compute_table,
-    inner_product,
     pair_count,
     pair_rank,
     pair_unrank,

@@ -97,7 +97,15 @@ def parse_range(text) -> list[int]:
 # --- subcommand handlers --------------------------------------------------------
 
 
+def _require(params: dict, command: str, *keys: str) -> None:
+    """Raise ValueError naming the first of ``keys`` that is unset."""
+    for key in keys:
+        if params.get(key) is None:
+            raise ValueError(f"{command} needs --{key}")
+
+
 def cmd_capacity(params: dict, master_seed: int):
+    _require(params, "capacity", "K", "P", "N")
     rows = bounds.capacity_grid(
         parse_range(params["K"]),
         parse_range(params["P"]),
@@ -108,6 +116,7 @@ def cmd_capacity(params: dict, master_seed: int):
 
 
 def cmd_spectrum(params: dict, master_seed: int):
+    _require(params, "spectrum", "q", "K")
     q, K = int(params["q"]), int(params["K"])
     rep = spectral.is_irreducible(q, K)
     return {
@@ -121,6 +130,7 @@ def cmd_spectrum(params: dict, master_seed: int):
 
 
 def cmd_converge(params: dict, master_seed: int):
+    _require(params, "converge", "q", "K")
     q, K = int(params["q"]), int(params["K"])
     L_max = int(params.get("Lmax", 30))
     trace = spectral.class_trace(q, K, L_max)
@@ -289,6 +299,7 @@ def cmd_ml_demo(params: dict, master_seed: int):
     label = params.get("label")
     if task in ("svm", "regression") and label is None:
         raise ValueError(f"task {task!r} needs --label")
+    _require(params, "ml-demo", "data")
     X, y, names = _read_csv_dataset(str(params["data"]), label)
     private = bool(params.get("private", False))
 
@@ -528,14 +539,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             filed = json.load(fh)
+        if not isinstance(filed, dict):
+            raise ValueError("config file must hold a JSON object")
         file_command = filed.get("command")
         if file_command is not None and file_command != args.command:
             raise ValueError(
                 f"config file is for {file_command!r}, invoked {args.command!r}"
             )
-        file_params = dict(filed.get("params", {}))
+        file_params = filed.get("params", {})
+        if not isinstance(file_params, dict):
+            raise ValueError("config params must be a JSON object")
         output = output if output is not None else filed.get("output")
         fmt = fmt if fmt is not None else filed.get("format")
+        if not isinstance(output, (str, type(None))):
+            raise ValueError("config output must be a path string")
+        if fmt not in (None, "json", "csv"):
+            raise ValueError(f"config format must be json or csv, not {fmt!r}")
         if master_seed is None and "master_seed" in filed:
             master_seed = int(filed["master_seed"])
         params.update(file_params)

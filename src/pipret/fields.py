@@ -1,4 +1,4 @@
-"""Prime-field vectors, replicated databases, and exact inner-product tables.
+"""Replicated databases over prime fields and exact inner-product tables.
 
 Everything downstream (the Markov analysis, the retrieval simulator, the
 Gram-matrix pipeline) consumes the objects defined here: a ``Database`` of K
@@ -15,7 +15,6 @@ functions, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -63,90 +62,6 @@ def _check_prime_modulus(q: int) -> int:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """An element of F(q), stored reduced to [0, q)."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        q = _check_prime_modulus(self.q)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "value", int(self.value) % q)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ValueError(f"modulus mismatch: {self.q} vs {other.q}")
-            return other
-        return FieldElement(int(other), self.q)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.q)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.q)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.q)
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.q)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.q})"
-
-
-@dataclass(frozen=True)
-class FieldVector:
-    """A vector over F(q); coordinates are kept reduced."""
-
-    values: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        q = _check_prime_modulus(self.q)
-        vals = np.asarray(self.values)
-        if vals.ndim != 1:
-            raise ValueError("field vector must be one-dimensional")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "values", np.mod(vals.astype(np.int64), q))
-        self.values.setflags(write=False)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, idx) -> FieldElement:
-        return FieldElement(int(self.values[idx]), self.q)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldVector)
-            and self.q == other.q
-            and np.array_equal(self.values, other.values)
-        )
-
-
-def inner_product(a: FieldVector, b: FieldVector) -> FieldElement:
-    """Exact inner product sum_l a_l * b_l mod q of two field vectors: the
-    {1,2} entry of the table of the two-file database [a; b].
-
-    Raises ValueError on length or modulus mismatch.
-    """
-    if a.q != b.q:
-        raise ValueError(f"modulus mismatch: {a.q} vs {b.q}")
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return compute_table(Database(a.q, np.stack([a.values, b.values]))).get(PairIndex(1, 2))
-
-
-@dataclass(frozen=True)
 class Database:
     """K files of length L over F(q), the content replicated at every server.
 
@@ -154,8 +69,7 @@ class Database:
     database stacked on a leading instance axis.  Row k-1 of an instance is
     the vector form of file W_k (files are 1-based to match the pair
     indexing); ``K`` and ``L`` read the last two axes.  ``compute_table``
-    takes either form, the single-instance accessors (``file``,
-    ``append_column``, ``save_csv``) only the K x L one.
+    takes either form.
     """
 
     q: int
@@ -178,17 +92,6 @@ class Database:
     def L(self) -> int:
         return self.entries.shape[-1]
 
-    def _require_single(self, what: str) -> None:
-        if self.entries.ndim != 2:
-            raise ValueError(f"{what} needs a single database, not a stack of instances")
-
-    def file(self, k: int) -> FieldVector:
-        """File W_k as a field vector, k in [1, K]."""
-        self._require_single("file")
-        if not 1 <= k <= self.K:
-            raise ValueError(f"file index {k} out of range [1, {self.K}]")
-        return FieldVector(self.entries[k - 1], self.q)
-
     def __eq__(self, other):
         return (
             isinstance(other, Database)
@@ -204,15 +107,6 @@ def random_database(q: int, K: int, L: int, seed) -> Database:
     q = _check_prime_modulus(q)
     rng = np.random.default_rng(seed)
     return Database(q, rng.integers(0, q, size=(K, L), dtype=np.int64))
-
-
-def append_column(db: Database, column) -> Database:
-    """Database with one fresh symbol appended to every file."""
-    db._require_single("append_column")
-    col = np.asarray(column, dtype=np.int64).reshape(-1)
-    if col.shape[0] != db.K:
-        raise ValueError(f"column must have {db.K} entries")
-    return Database(db.q, np.hstack([db.entries, col[:, None] % db.q]))
 
 
 # --- canonical pair ordering ------------------------------------------------
@@ -321,12 +215,6 @@ class InnerProductVector:
         object.__setattr__(self, "values", vals)
         self.values.setflags(write=False)
 
-    def get(self, p: PairIndex) -> FieldElement:
-        if self.values.ndim != 1:
-            raise ValueError(f"get needs the table of a single database, not {self.values.shape}")
-        return FieldElement(int(self.values[pair_rank(self.K, p)]), self.q)
-
-
 @lru_cache(maxsize=32)
 def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the upper triangle of a K x K matrix, in
@@ -362,31 +250,3 @@ def compute_table(db: Database) -> InnerProductVector:
         gram = (E @ E.swapaxes(-1, -2)) % q
     iu, ju = _triangle(db.K)
     return InnerProductVector(q, db.K, gram[..., iu, ju].astype(np.int64))
-
-
-# --- serialization ------------------------------------------------------------
-
-
-def save_csv(db: Database, path) -> None:
-    """Write a database as CSV: line 1 holds ``q,K,L``, then K rows of L
-    comma-separated integers."""
-    db._require_single("save_csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{db.q},{db.K},{db.L}\n")
-        for row in db.entries:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
-
-
-def load_csv(path) -> Database:
-    """Read a database written by save_csv."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        try:
-            q, K, L = (int(tok) for tok in header.split(","))
-        except ValueError as exc:
-            raise ValueError(f"malformed header line: {header!r}") from exc
-        body = fh.read()
-    entries = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
-    if entries.shape != (K, L):
-        raise ValueError(f"expected {K}x{L} entries, got {entries.shape}")
-    return Database(q, entries)

@@ -57,22 +57,6 @@ def _check_psd(w: np.ndarray, tol: float = PSD_TOL) -> None:
 
 
 @dataclass(frozen=True)
-class LabeledGram:
-    """Gram matrix with one label per sample."""
-
-    gram: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        G = validate_gram(self.gram)
-        y = np.asarray(self.labels, dtype=float).reshape(-1)
-        if len(y) != G.shape[0]:
-            raise ValueError("label count must match the Gram dimension")
-        object.__setattr__(self, "gram", G)
-        object.__setattr__(self, "labels", y)
-
-
-@dataclass(frozen=True)
 class DualSolution:
     """Result of the dual SVM: multipliers, bias, and objective value."""
 
@@ -88,7 +72,7 @@ class DualSolution:
 
 def svm_dual_train(
     gram,
-    labels=None,
+    labels,
     box: float | None = None,
     tol: float = KKT_TOL,
     max_iter: int = MAX_PAIR_UPDATES,
@@ -103,11 +87,8 @@ def svm_dual_train(
     on inseparable hard-margin data, on non-convergence, and when no
     support vector emerges.
     """
-    if isinstance(gram, LabeledGram):
-        G, y = gram.gram, gram.labels
-    else:
-        G = validate_gram(gram)
-        y = np.asarray(labels, dtype=float).reshape(-1)
+    G = validate_gram(gram)
+    y = np.asarray(labels, dtype=float).reshape(-1)
     m = G.shape[0]
     if len(y) != m:
         raise ValueError("label count must match the Gram dimension")
@@ -405,7 +386,6 @@ def gram_from_raw(X: np.ndarray) -> np.ndarray:
 
 __all__ = [
     "validate_gram",
-    "LabeledGram",
     "DualSolution",
     "svm_dual_train",
     "svm_decision",

@@ -48,12 +48,19 @@ from math import comb
 import numpy as np
 
 from .bounds import BoundQuery, inverse_rate_achievable, inverse_rate_converse
-from .fields import Database, PairIndex, _check_prime_modulus, compute_table, pair_count, pair_rank
+from .fields import (
+    _INT64_MAX,
+    Database,
+    PairIndex,
+    _check_prime_modulus,
+    compute_table,
+    pair_count,
+    pair_rank,
+)
 
 MIN_AUDIT_SAMPLES = 10_000
 # permutation entries (samples * P * T * nu) drawn per chunk of a batched tally
 _TALLY_BLOCK = 1 << 20
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -606,7 +613,13 @@ class RepeatedPirScheme(RetrievalScheme):
         and the distinct keys, not ``samples``.  The structure keys do not
         depend on the permutations, so each structure channel is one tuple
         key counted ``samples`` times.
+
+        A subclass that overrides ``query`` is tallied by the base loop,
+        which calls its ``query``.  The name is looked up per call, so a
+        wrapper set on this class itself still takes the batch.
         """
+        if type(self).query is not RepeatedPirScheme.query:
+            return super().tally_statistics(space, n_servers, request, rng, samples)
         self.check_supports(space, n_servers)
         T, nu, P = space.T, space.nu, len(request)
         layouts = [_run_layout(T, n_servers, theta) for theta in request]

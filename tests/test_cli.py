@@ -193,6 +193,25 @@ def test_simulate_requires_k_or_t(capsys):
     assert "needs --K or --T" in err
 
 
+@pytest.mark.parametrize(
+    "argv,missing",
+    [
+        (["capacity", "--P", "1", "--N", "2"], "capacity needs --K"),
+        (["capacity", "--K", "2", "--N", "2"], "capacity needs --P"),
+        (["capacity", "--K", "2", "--P", "1"], "capacity needs --N"),
+        (["spectrum", "--K", "2"], "spectrum needs --q"),
+        (["spectrum", "--q", "3"], "spectrum needs --K"),
+        (["converge", "--q", "3"], "converge needs --K"),
+        (["ml-demo", "--label", "y"], "ml-demo needs --data"),
+    ],
+)
+def test_missing_required_parameter_is_validation_error(argv, missing, capsys):
+    code, out, err = _run(argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {missing}\n"
+
+
 def test_audit_command_exact(capsys):
     code, out, _ = _run(
         ["audit", "--scheme", "full_download", "--mode", "exact", "--T", "3",
@@ -328,6 +347,25 @@ def test_config_file_command_mismatch(tmp_path, capsys):
     code, _, err = _run(["spectrum", "--config", str(cfg)], capsys)
     assert code == EXIT_VALIDATION
     assert "config file is for" in err
+
+
+@pytest.mark.parametrize(
+    "filed,message",
+    [
+        ([1, 2], "config file must hold a JSON object"),
+        ({"command": "spectrum", "params": [1, 2]}, "config params must be a JSON object"),
+        ({"command": "spectrum", "params": None}, "config params must be a JSON object"),
+        ({"command": "spectrum", "output": 5}, "config output must be a path string"),
+        ({"command": "spectrum", "format": "xml"}, "config format must be json or csv, not 'xml'"),
+    ],
+)
+def test_config_file_of_the_wrong_shape_is_validation_error(filed, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(filed))
+    code, out, err = _run(["spectrum", "--config", str(cfg), "--q", "3", "--K", "2"], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_reports_byte_identical_for_same_config():

@@ -8,62 +8,41 @@ from hypothesis import strategies as st
 from pipret import fields
 from pipret.fields import (
     Database,
-    FieldElement,
-    FieldVector,
     InnerProductVector,
     PairIndex,
     PairOrdering,
-    append_column,
     compute_table,
-    inner_product,
     is_prime,
-    load_csv,
     pair_count,
     pair_rank,
     pair_unrank,
     random_database,
-    save_csv,
 )
 
 
+def _cross(q, a, b):
+    """The {1,2} entry of the table of the two-file database [a; b]."""
+    return int(compute_table(Database(q, [a, b])).values[pair_rank(2, PairIndex(1, 2))])
+
+
 def test_inner_product_examples():
-    assert int(inner_product(FieldVector([1, 2, 3], 5), FieldVector([2, 0, 1], 5))) == 0
-    assert int(inner_product(FieldVector([0, 0], 3), FieldVector([1, 2], 3))) == 0
-    assert int(inner_product(FieldVector([1, 1], 2), FieldVector([1, 1], 2))) == 0
-
-
-def test_inner_product_errors():
-    with pytest.raises(ValueError, match="length"):
-        inner_product(FieldVector([1, 2], 5), FieldVector([1, 2, 3], 5))
-    with pytest.raises(ValueError, match="modulus"):
-        inner_product(FieldVector([1, 2], 5), FieldVector([1, 2], 7))
+    assert _cross(5, [1, 2, 3], [2, 0, 1]) == 0
+    assert _cross(3, [0, 0], [1, 2]) == 0
+    assert _cross(2, [1, 1], [1, 1]) == 0
 
 
 def test_inner_product_large_modulus_path():
     q = 2305843009213693951  # 2**61 - 1
-    a = FieldVector([q - 1, q - 2], q)
-    b = FieldVector([q - 1, 2], q)
     expected = ((q - 1) * (q - 1) + (q - 2) * 2) % q
-    assert int(inner_product(a, b)) == expected
-
-
-def test_field_element_arithmetic():
-    a = FieldElement(3, 5)
-    b = FieldElement(4, 5)
-    assert int(a + b) == 2
-    assert int(a - b) == 4
-    assert int(a * b) == 2
-    assert int(-a) == 2
-    with pytest.raises(ValueError, match="modulus"):
-        a + FieldElement(1, 7)
+    assert _cross(q, [q - 1, q - 2], [q - 1, 2]) == expected
 
 
 def test_non_prime_modulus_rejected():
     for bad in (0, 1, 4, 6, 9, 100):
         with pytest.raises(ValueError, match="not prime"):
-            FieldElement(1, bad)
+            Database(bad, [[1]])
     with pytest.raises(ValueError, match="exceeds"):
-        FieldElement(1, 2**62)
+        Database(2**62, [[1]])
 
 
 def test_is_prime_agrees_with_sieve():
@@ -254,7 +233,9 @@ def test_compute_table_of_a_stack_is_the_stack_of_tables(q, nu, K, L, extreme, s
         E = np.full((nu, K, L), q - 1, dtype=np.int64)
     else:
         E = np.random.default_rng(seed).integers(0, q, size=(nu, K, L), dtype=np.int64)
-    stacked = compute_table(Database(q, E))
+    db = Database(q, E)
+    assert (db.K, db.L) == (K, L)
+    stacked = compute_table(db)
     assert stacked.values.shape == (nu, pair_count(K))
     want = np.stack([compute_table(Database(q, e)).values for e in E])
     assert stacked.values.tolist() == want.tolist()
@@ -269,20 +250,6 @@ def test_database_rejects_entries_of_the_wrong_rank_or_an_empty_axis(shape):
         Database(5, np.zeros(shape, dtype=np.int64))
 
 
-def test_single_instance_accessors_reject_a_stack(tmp_path):
-    db = Database(5, np.arange(24).reshape(2, 3, 4))
-    assert (db.K, db.L) == (3, 4)
-    with pytest.raises(ValueError, match="single"):
-        db.file(1)
-    with pytest.raises(ValueError, match="single"):
-        append_column(db, [1, 2, 3])
-    with pytest.raises(ValueError, match="single"):
-        save_csv(db, tmp_path / "db.csv")
-    assert not (tmp_path / "db.csv").exists()
-    with pytest.raises(ValueError, match="single"):
-        compute_table(db).get(PairIndex(1, 2))
-
-
 def test_table_permutation_symmetry():
     rng = np.random.default_rng(3)
     for K in (2, 3, 4):
@@ -295,13 +262,13 @@ def test_table_permutation_symmetry():
         for r, pair in enumerate(ordering):
             # file k of the permuted database is file perm[k]+1 of the original
             orig_pair = PairIndex(int(perm[pair.i - 1]) + 1, int(perm[pair.j - 1]) + 1)
-            assert table_perm.values[r] == int(table.get(orig_pair))
+            assert table_perm.values[r] == table.values[pair_rank(K, orig_pair)]
 
 
 def test_append_column_delta_relation():
     db = random_database(5, 3, 4, seed=2)
     col = [1, 4, 2]
-    grown = append_column(db, col)
+    grown = Database(5, np.hstack([db.entries, np.array(col)[:, None]]))
     before = compute_table(db).values
     after = compute_table(grown).values
     for r, pair in enumerate(PairOrdering(3)):
@@ -309,34 +276,8 @@ def test_append_column_delta_relation():
         assert after[r] == (before[r] + delta) % 5
 
 
-def test_database_file_access():
-    db = Database(5, [[1, 2], [3, 4]])
-    assert db.file(1) == FieldVector([1, 2], 5)
-    with pytest.raises(ValueError):
-        db.file(3)
-
-
-def test_csv_round_trip(tmp_path):
-    db = random_database(13, 4, 6, seed=5)
-    path = tmp_path / "db.csv"
-    save_csv(db, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "13,4,6"
-    assert load_csv(path) == db
-
-
-def test_csv_malformed(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("not,a,header,line\n")
-    with pytest.raises(ValueError):
-        load_csv(path)
-    path.write_text("5,2,2\n1,2\n")
-    with pytest.raises(ValueError, match="expected"):
-        load_csv(path)
-
-
 def test_inner_product_vector_validation():
     ipv = InnerProductVector(5, 2, [1, 2, 3])
-    assert int(ipv.get(PairIndex(1, 2))) == 2
+    assert ipv.values[pair_rank(2, PairIndex(1, 2))] == 2
     with pytest.raises(ValueError):
         InnerProductVector(5, 2, [1, 2])

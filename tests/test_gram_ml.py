@@ -9,7 +9,6 @@ from pipret.fields import compute_table, pair_count
 from pipret.protocol import VirtualFileSpace
 from pipret.gram_ml import (
     FixedPointCodec,
-    LabeledGram,
     augment_gram,
     decode_gram,
     decode_gram_integer,
@@ -122,13 +121,6 @@ def test_svm_box_handles_inseparable_data():
     sol = svm_dual_train(G, y, box=10.0)
     assert svm_kkt_residual(G, y, sol, box=10.0) < 1e-6
     assert np.all(sol.alpha <= 10.0 + 1e-12)
-
-
-def test_svm_labeled_gram_container():
-    X = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    lg = LabeledGram(gram_from_raw(X), [1.0, -1.0])
-    sol = svm_dual_train(lg)
-    np.testing.assert_allclose(sol.alpha, [0.5, 0.5], atol=1e-10)
 
 
 def test_validate_gram_rejects_non_psd():

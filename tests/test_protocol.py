@@ -622,6 +622,56 @@ def test_deterministic_tally_rejects_a_varying_statistic():
         )
 
 
+class _IndexReusePir(RepeatedPirScheme):
+    """repeated_pir with a planted leak in ``query`` alone: server 0 reads
+    the desired file's first two terms of each run at one index, and a
+    repeated index names the desired file.  Counts its ``query`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def query(self, space, n_servers, request, rng):
+        self.calls += 1
+        plan = super().query(space, n_servers, request, rng)
+        blocks = list(plan.server_queries[0])
+        for r, (theta, _) in enumerate(plan.state):
+            first, second = np.flatnonzero(blocks[r].files == theta)[:2]
+            indices = blocks[r].indices.copy()
+            indices[second] = indices[first]
+            blocks[r] = SumBlock(blocks[r].files, indices, blocks[r].starts)
+        plan.server_queries[0] = tuple(blocks)
+        return plan
+
+
+def test_tally_of_a_subclass_that_overrides_query_calls_its_query():
+    space = VirtualFileSpace(T=3, q=2, nu=8)
+    samples = 300
+    keys = []
+    for request in [(0,), (1,)]:
+        sch = _IndexReusePir()
+        tally = sch.tally_statistics(space, 2, request, np.random.default_rng(0), samples)
+        assert sch.calls == samples
+        keys.append(set(tally[("indexes", 0, 0)][0]))
+    assert keys[0] and keys[1] and keys[0].isdisjoint(keys[1])
+
+
+def test_tally_takes_the_batch_under_a_wrapper_set_on_the_class():
+    calls = []
+    original = RepeatedPirScheme.query
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    space = VirtualFileSpace(T=3, q=2, nu=8)
+    with mock.patch.object(RepeatedPirScheme, "query", counted):
+        tally = RepeatedPirScheme().tally_statistics(
+            space, 2, (0,), np.random.default_rng(0), 50
+        )
+    assert calls == []
+    assert tally[("indexes", 0, 0)][0].dtype == np.uint64
+
+
 def test_audits_name_the_leak_of_the_leaky_control():
     space = VirtualFileSpace(T=3, q=5, nu=2)
     exact = audit_privacy(LeakyIndexScheme(), space, 2, 1, mode="exact")
