@@ -555,9 +555,14 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError("config output must be a path string")
         if fmt not in (None, "json", "csv"):
             raise ValueError(f"config format must be json or csv, not {fmt!r}")
-        if master_seed is None and "master_seed" in filed:
-            master_seed = int(filed["master_seed"])
-        params.update(file_params)
+        if master_seed is None:
+            master_seed = filed.get("master_seed")
+            if master_seed is not None and (
+                not isinstance(master_seed, int) or isinstance(master_seed, bool)
+            ):
+                raise ValueError(f"config master_seed must be an integer, not {master_seed!r}")
+        # a null value leaves its param unset, as an omitted flag does
+        params.update((key, val) for key, val in file_params.items() if val is not None)
     for key, val in vars(args).items():
         if key in meta or val is None:
             continue

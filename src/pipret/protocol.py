@@ -59,8 +59,12 @@ from .fields import (
 )
 
 MIN_AUDIT_SAMPLES = 10_000
-# permutation entries (samples * P * T * nu) drawn per chunk of a batched tally
+# permutation entries (samples * P * T * nu) held per chunk of a batched
+# tally, in the smallest dtype that holds nu - 1 (1 MiB at nu <= 256)
 _TALLY_BLOCK = 1 << 20
+# entries per rng.permuted call, drawn as intp for numpy's 8-byte shuffle
+# path and narrowed into the chunk: a 256 KiB buffer, not an intp chunk
+_DRAW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -600,7 +604,13 @@ class RepeatedPirScheme(RetrievalScheme):
 
         The permutations ``query`` would draw are drawn a chunk of samples at
         a time by ``rng.permuted``, which consumes the generator exactly like
-        the sequential ``rng.permutation(nu)`` calls.  Each (server, file)
+        the sequential ``rng.permutation(nu)`` calls.  ``permuted`` shuffles
+        8-byte items on a path about twice as fast as narrower ones, with the
+        same permutations and the same generator state, so a chunk is drawn
+        in intp sub-blocks of ``_DRAW_BLOCK`` entries into one reused buffer
+        and narrowed into the chunk's array of the smallest dtype that holds
+        nu - 1.  A chunk's bytes are bounded by ``_TALLY_BLOCK`` entries of
+        that dtype plus ``_DRAW_BLOCK`` intp entries.  Each (server, file)
         index set of a run is gathered through that file's slots in the run's
         cached layout.  An index channel's key packs the sample's P run
         sets: each set is a mask with index j at bit 8w-1-j of a w =
@@ -608,11 +618,12 @@ class RepeatedPirScheme(RetrievalScheme):
         masks are sorted as integers, and their fields, concatenated and
         zero-padded, form a row of ceil(P*w/8) uint64 words, most
         significant first.  Rows therefore sort like the concatenated packed
-        bytes of the sorted runs.  Each chunk's keys are counted into the
-        channel's sorted (keys, counts) arrays, so memory follows the chunk
-        and the distinct keys, not ``samples``.  The structure keys do not
-        depend on the permutations, so each structure channel is one tuple
-        key counted ``samples`` times.
+        bytes of the sorted runs.  Each chunk's keys are counted on their
+        own, and only the distinct ones are merged into the channel's sorted
+        (keys, counts) arrays, so memory follows the chunk and the distinct
+        keys, not ``samples``.  The structure keys do not depend on the
+        permutations, so each structure channel is one tuple key counted
+        ``samples`` times.
 
         A subclass that overrides ``query`` is tallied by the base loop,
         which calls its ``query``.  The name is looked up per call, so a
@@ -645,26 +656,37 @@ class RepeatedPirScheme(RetrievalScheme):
                     np.zeros((0, key_bytes // 8), dtype=np.uint64),
                     np.zeros(0, dtype=np.int64),
                 )
-        identity = np.arange(nu, dtype=np.min_scalar_type(nu - 1))
         chunk = max(1, _TALLY_BLOCK // (P * T * nu))
+        perms = np.empty((min(chunk, samples), P, T, nu), dtype=np.min_scalar_type(nu - 1))
+        draw = np.empty((max(1, _DRAW_BLOCK // (P * T * nu)), P, T, nu), dtype=np.intp)
+        identity = np.broadcast_to(np.arange(nu), draw.shape)
         for start in range(0, samples, chunk):
             S = min(chunk, samples - start)
-            perms = rng.permuted(np.broadcast_to(identity, (S, P, T, nu)), axis=-1)
+            for lo in range(0, S, len(draw)):
+                m = min(len(draw), S - lo)
+                perms[lo : lo + m] = rng.permuted(identity[:m], axis=-1, out=draw[:m])
             for n in range(n_servers):
                 for f in range(T):
                     # a run's indices are distinct, so summing their bits sets them
                     masks = []
                     for r in range(P):
-                        chosen = perms[:, r, f, slots[r][n][f]]
+                        chosen = perms[:S, r, f, slots[r][n][f]]
                         masks.append(sum(np.take(bit, column, axis=0) for column in chosen.T))
                     joined = np.zeros((S, key_bytes), dtype=np.uint8)
                     for place, mask in enumerate(_sort_rows(masks)):
                         packed = mask.astype(">u8").view(np.uint8)[:, :width]
                         joined[:, place * width : (place + 1) * width] = packed
+                    keys = joined.view(">u8").astype(np.uint64)
+                    # the chunk's keys are counted on their own, and only its
+                    # distinct keys are merged into the running tally
+                    if keys.shape[1] == 1:
+                        distinct, found = np.unique(keys[:, 0], return_counts=True)
+                        distinct, found = distinct[:, None], found.astype(np.int64)
+                    else:
+                        distinct, found = _count_keys(keys, np.ones(S, dtype=np.int64))
                     seen, counts = tally[("indexes", n, f)]
                     tally[("indexes", n, f)] = _count_keys(
-                        np.concatenate([seen, joined.view(">u8").astype(np.uint64)]),
-                        np.concatenate([counts, np.ones(S, dtype=np.int64)]),
+                        np.concatenate([seen, distinct]), np.concatenate([counts, found])
                     )
         return tally
 

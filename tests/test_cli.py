@@ -357,6 +357,10 @@ def test_config_file_command_mismatch(tmp_path, capsys):
         ({"command": "spectrum", "params": None}, "config params must be a JSON object"),
         ({"command": "spectrum", "output": 5}, "config output must be a path string"),
         ({"command": "spectrum", "format": "xml"}, "config format must be json or csv, not 'xml'"),
+        ({"master_seed": [1]}, "config master_seed must be an integer, not [1]"),
+        ({"master_seed": 1.5}, "config master_seed must be an integer, not 1.5"),
+        ({"master_seed": "7"}, "config master_seed must be an integer, not '7'"),
+        ({"master_seed": True}, "config master_seed must be an integer, not True"),
     ],
 )
 def test_config_file_of_the_wrong_shape_is_validation_error(filed, message, tmp_path, capsys):
@@ -366,6 +370,17 @@ def test_config_file_of_the_wrong_shape_is_validation_error(filed, message, tmp_
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_config_file_null_values_are_unset(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    argv = ["converge", "--q", "3", "--K", "2"]
+    code, unset, _ = _run(argv, capsys)
+    assert code == EXIT_OK
+    cfg.write_text(json.dumps({"master_seed": None, "params": {"Lmax": None, "q": None}}))
+    code, out, _ = _run(argv + ["--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    assert out == unset
 
 
 def test_reports_byte_identical_for_same_config():

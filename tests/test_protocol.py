@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from math import comb
 from pathlib import Path
@@ -561,13 +562,17 @@ def _packed_counter(ch, channel, nu: int) -> Counter:
     return counter
 
 
-def _check_tally_against_loop(T, N, request, seed, samples, chunk):
+def _check_tally_against_loop(T, N, request, seed, samples, chunk, draw):
     space = VirtualFileSpace(T=T, q=2, nu=N**T)
     sch = RepeatedPirScheme()
     r_fast = np.random.default_rng(seed)
     r_loop = np.random.default_rng(seed)
-    # a block of `chunk` samples, so the tally spans several chunks
-    with mock.patch.object(protocol, "_TALLY_BLOCK", chunk * len(request) * T * space.nu):
+    # a block of `chunk` samples drawn `draw` samples at a time, so the tally
+    # spans several chunks and a chunk several draws
+    per_sample = len(request) * T * space.nu
+    with mock.patch.multiple(
+        protocol, _TALLY_BLOCK=chunk * per_sample, _DRAW_BLOCK=draw * per_sample
+    ):
         fast = sch.tally_statistics(space, N, request, r_fast, samples)
     loop = RetrievalScheme.tally_statistics(sch, space, N, request, r_loop, samples)
     assert list(fast) == list(loop)
@@ -586,12 +591,40 @@ def test_tally_statistics_matches_per_sample_loop(data):
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     samples = data.draw(st.integers(1, 12 if N**T > 30 else 40), label="samples")
     chunk = data.draw(st.integers(1, samples), label="chunk")
-    _check_tally_against_loop(T, N, request, seed, samples, chunk)
+    draw = data.draw(st.integers(1, chunk), label="draw")
+    _check_tally_against_loop(T, N, request, seed, samples, chunk, draw)
 
 
 def test_tally_statistics_matches_per_sample_loop_on_multiword_keys():
     # nu = 81: each run mask spans two words and the P = 3 key five
-    _check_tally_against_loop(4, 3, (0, 1, 3), seed=5, samples=9, chunk=4)
+    _check_tally_against_loop(4, 3, (0, 1, 3), seed=5, samples=9, chunk=4, draw=3)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+def test_permuted_on_intp_draws_like_a_narrow_dtype(dtype):
+    # the batched tally draws intp and narrows: this numpy property makes
+    # that the same draw as the narrow one, down to the generator state
+    r_wide, r_narrow = np.random.default_rng(7), np.random.default_rng(7)
+    shape = (50, 2, 3, 8)
+    wide = r_wide.permuted(np.broadcast_to(np.arange(8, dtype=np.intp), shape), axis=-1)
+    narrow = r_narrow.permuted(np.broadcast_to(np.arange(8, dtype=dtype), shape), axis=-1)
+    assert np.array_equal(wide, narrow)
+    assert r_wide.bit_generator.state == r_narrow.bit_generator.state
+
+
+def test_tally_memory_follows_the_chunk_not_the_samples():
+    # T = 3, N = 2, P = 2: a chunk of 2**20 uint8 entries is 1 MiB; an intp
+    # chunk would be 8 MiB and a tally holding every sample's key more still
+    space = VirtualFileSpace(T=3, q=2, nu=8)
+    sch = RepeatedPirScheme()
+    sch.tally_statistics(space, 2, (0, 2), np.random.default_rng(0), 100)
+    tracemalloc.start()
+    try:
+        sch.tally_statistics(space, 2, (0, 2), np.random.default_rng(0), 30_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("name", ["leaky_index", "full_download"])
