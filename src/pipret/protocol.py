@@ -677,8 +677,8 @@ class RepeatedPirScheme(RetrievalScheme):
                         packed = mask.astype(">u8").view(np.uint8)[:, :width]
                         joined[:, place * width : (place + 1) * width] = packed
                     keys = joined.view(">u8").astype(np.uint64)
-                    # the chunk's keys are counted on their own, and only its
-                    # distinct keys are merged into the running tally
+                    # np.unique sorts one-word keys in place, faster than the
+                    # argsort and gather of _count_keys
                     if keys.shape[1] == 1:
                         distinct, found = np.unique(keys[:, 0], return_counts=True)
                         distinct, found = distinct[:, None], found.astype(np.int64)

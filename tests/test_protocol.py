@@ -617,6 +617,7 @@ def test_tally_memory_follows_the_chunk_not_the_samples():
     # chunk would be 8 MiB and a tally holding every sample's key more still
     space = VirtualFileSpace(T=3, q=2, nu=8)
     sch = RepeatedPirScheme()
+    # a first call fills the layout cache, which is not the tally's memory
     sch.tally_statistics(space, 2, (0, 2), np.random.default_rng(0), 100)
     tracemalloc.start()
     try:
