@@ -60,10 +60,12 @@ from .fields import (
 
 MIN_AUDIT_SAMPLES = 10_000
 # permutation entries (samples * P * T * nu) held per chunk of a batched
-# tally, in the smallest dtype that holds nu - 1 (1 MiB at nu <= 256)
+# tally, in the smallest dtype that holds nu - 1 (1 MiB at nu <= 256), or
+# one sample's P * T * nu entries where that is more
 _TALLY_BLOCK = 1 << 20
 # entries per rng.permuted call, drawn as intp for numpy's 8-byte shuffle
 # path and narrowed into the chunk: a 256 KiB buffer, not an intp chunk
+# (again one sample's entries where that is more)
 _DRAW_BLOCK = 1 << 15
 
 
@@ -609,8 +611,9 @@ class RepeatedPirScheme(RetrievalScheme):
         same permutations and the same generator state, so a chunk is drawn
         in intp sub-blocks of ``_DRAW_BLOCK`` entries into one reused buffer
         and narrowed into the chunk's array of the smallest dtype that holds
-        nu - 1.  A chunk's bytes are bounded by ``_TALLY_BLOCK`` entries of
-        that dtype plus ``_DRAW_BLOCK`` intp entries.  Each (server, file)
+        nu - 1.  A chunk holds whole samples, at least one, so its bytes are
+        bounded by max(``_TALLY_BLOCK``, P*T*nu) entries of that dtype plus
+        max(``_DRAW_BLOCK``, P*T*nu) intp entries.  Each (server, file)
         index set of a run is gathered through that file's slots in the run's
         cached layout.  An index channel's key packs the sample's P run
         sets: each set is a mask with index j at bit 8w-1-j of a w =
@@ -677,8 +680,9 @@ class RepeatedPirScheme(RetrievalScheme):
                         packed = mask.astype(">u8").view(np.uint8)[:, :width]
                         joined[:, place * width : (place + 1) * width] = packed
                     keys = joined.view(">u8").astype(np.uint64)
-                    # np.unique sorts one-word keys in place, faster than the
-                    # argsort and gather of _count_keys
+                    # np.unique sorts one-word keys in place: on the audit's
+                    # keys (T = 3, N = 2, P <= 2) it counts a chunk in under
+                    # half the time of the argsort and gather of _count_keys
                     if keys.shape[1] == 1:
                         distinct, found = np.unique(keys[:, 0], return_counts=True)
                         distinct, found = distinct[:, None], found.astype(np.int64)
