@@ -10,11 +10,16 @@ Subcommands map one-to-one onto the library surfaces::
     ml-demo    Gram-only SVM / regression / PCA on a CSV dataset
     reproduce  the full verification suite with a consolidated verdict
 
-Every flag has a config-file equivalent: ``--config file.json`` loads
+Each command's parameters are declared once, in ``PARAMS``: the table
+builds the parser, and ``resolve_params`` checks every value against it,
+however it arrived, and fills in the defaults.  Every flag has a
+config-file equivalent: ``--config file.json`` loads
 ``{"command": ..., "params": {...}}`` and explicit flags override file
-values.  Reports are deterministic for a fixed (config, version, master
-seed); wall-clock time goes to stderr only.  Exit codes: 0 success,
-2 validation error, 3 verification failure, 4 I/O error.
+values.  A config value must have its flag's JSON type, ``null`` leaves it
+unset, and an undeclared name is rejected.  Reports are deterministic for a
+fixed (config, version, master seed); wall-clock time goes to stderr only.
+Exit codes: 0 success, 2 validation error, 3 verification failure, 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import argparse
 import csv as csv_module
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, acceptance, bounds, gram_ml, protocol, spectral
-from .fields import Database, pair_count, pair_unrank
+from .fields import Database, pair_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -45,7 +49,8 @@ EXIT_IO = 4
 
 @dataclass
 class RunConfig:
-    """Resolved invocation: command, validated params, output routing."""
+    """Resolved invocation: command, params as given (``dispatch`` checks
+    them), output routing."""
 
     command: str
     params: dict
@@ -94,30 +99,117 @@ def parse_range(text) -> list[int]:
     return [int(text)]
 
 
+# --- parameters -------------------------------------------------------------------
+
+REQUIRED = object()  # default of a parameter the command cannot run without
+
+# command -> (help, {name: (kind, default, help)}); a kind is int, float, str,
+# bool (a flag), parse_range, or a tuple of choices.  Name order is --help order.
+PARAMS = {
+    "capacity": ("bound rows over a (K, P, N) grid", {
+        "K": (parse_range, REQUIRED, "file-count grid, e.g. 2..4 or 2,5"),
+        "P": (parse_range, REQUIRED, "requested-count grid"),
+        "N": (parse_range, REQUIRED, "server-count grid"),
+        "verbose": (bool, False, "also emit the raw rate fraction, checked exactly"),
+    }),
+    "spectrum": ("lambda2 and irreducibility for one (q, K)", {
+        "q": (int, REQUIRED, None),
+        "K": (int, REQUIRED, None),
+    }),
+    "converge": ("distance-to-uniform trace (CSV by default)", {
+        "q": (int, REQUIRED, None),
+        "K": (int, REQUIRED, None),
+        "Lmax": (int, 30, None),
+    }),
+    "simulate": ("retrieval runs with rate accounting", {
+        "scheme": (tuple(sorted(protocol.SCHEMES)), "full_download", None),
+        "q": (int, 5, None),
+        "K": (int, None, "derive T = K(K+1)/2 from databases"),
+        "T": (int, None, "virtual file count (decoupled mode)"),
+        "N": (int, 2, None),
+        "P": (int, 1, None),
+        "nu": (int, None, None),
+        "L": (int, 8, "file length for database-derived runs"),
+        "seeds": (int, 10, "number of independent runs"),
+    }),
+    "audit": ("privacy audit across all request sets", {
+        "scheme": (tuple(sorted(protocol.SCHEMES)), "full_download", None),
+        "mode": (("exact", "sampled"), "exact", None),
+        "samples": (int, None, None),
+        "T": (int, 3, None),
+        "q": (int, 5, None),
+        "N": (int, 2, None),
+        "P": (int, 1, None),
+        "nu": (int, None, None),
+    }),
+    "ml-demo": ("Gram-only ML on a CSV dataset", {
+        "data": (str, REQUIRED, "CSV path with a header row"),
+        "label": (str, None, "label column name"),
+        "task": (("svm", "regression", "pca"), "svm", None),
+        "private": (bool, False, "produce the Gram matrix through the retrieval simulator"),
+        "scale": (float, 100.0, "fixed-point scale"),
+        "q": (int, 10**9 + 7, "codec modulus (prime)"),
+        "max_abs": (float, None, None),
+        "d": (int, None, "PCA target dimension"),
+        "box": (float, None, "SVM box bound (soft margin)"),
+    }),
+    "reproduce": ("run the verification suite", {}),
+}
+
+
+# kind -> (the JSON types a value may have, what an error asks for); a type
+# matches exactly, so a bool is not an int
+_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+    parse_range: ((int, str, list), "an integer, a list of integers or a range like 2..5"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def resolve_params(command: str, params: dict) -> dict:
+    """``params`` checked against ``PARAMS[command]``, converted by each
+    kind, with defaults in place of unset (None) values.  Raises ValueError
+    on an undeclared name, a missing required value or a wrong type."""
+    declared = PARAMS[command][1]
+    for name in params:
+        if name not in declared:
+            raise ValueError(f"{command} has no parameter {name!r}")
+    resolved = {}
+    for name, (kind, default, _) in declared.items():
+        value = params.get(name)
+        if value is None:
+            if default is REQUIRED:
+                raise ValueError(f"{command} needs {_flag(name)}")
+            resolved[name] = default
+            continue
+        choices = isinstance(kind, tuple)
+        types, wanted = ((str,), "one of " + ", ".join(kind)) if choices else _KINDS[kind]
+        if (type(value) not in types or choices and value not in kind
+                or type(value) is list and any(type(v) is not int for v in value)):
+            raise ValueError(f"{command} {_flag(name)} must be {wanted}, not {value!r}")
+        try:
+            resolved[name] = value if choices else kind(value)
+        except ValueError as exc:  # a range string parse_range cannot read
+            raise ValueError(f"{command} {_flag(name)}: {exc}") from None
+    return resolved
+
+
 # --- subcommand handlers --------------------------------------------------------
 
 
-def _require(params: dict, command: str, *keys: str) -> None:
-    """Raise ValueError naming the first of ``keys`` that is unset."""
-    for key in keys:
-        if params.get(key) is None:
-            raise ValueError(f"{command} needs --{key}")
-
-
 def cmd_capacity(params: dict, master_seed: int):
-    _require(params, "capacity", "K", "P", "N")
-    rows = bounds.capacity_grid(
-        parse_range(params["K"]),
-        parse_range(params["P"]),
-        parse_range(params["N"]),
-        verbose=bool(params.get("verbose", False)),
-    )
-    return rows, EXIT_OK
+    grid = params["K"], params["P"], params["N"]
+    return bounds.capacity_grid(*grid, verbose=params["verbose"]), EXIT_OK
 
 
 def cmd_spectrum(params: dict, master_seed: int):
-    _require(params, "spectrum", "q", "K")
-    q, K = int(params["q"]), int(params["K"])
+    q, K = params["q"], params["K"]
     rep = spectral.is_irreducible(q, K)
     return {
         "q": q,
@@ -130,9 +222,7 @@ def cmd_spectrum(params: dict, master_seed: int):
 
 
 def cmd_converge(params: dict, master_seed: int):
-    _require(params, "converge", "q", "K")
-    q, K = int(params["q"]), int(params["K"])
-    L_max = int(params.get("Lmax", 30))
+    q, K, L_max = params["q"], params["K"], params["Lmax"]
     trace = spectral.class_trace(q, K, L_max)
     rows = [
         {
@@ -148,26 +238,25 @@ def cmd_converge(params: dict, master_seed: int):
     return rows, EXIT_OK
 
 
-def cmd_simulate(params: dict, master_seed: int):
-    scheme = protocol.make_scheme(str(params.get("scheme", "full_download")))
-    q = int(params.get("q", 5))
-    N = int(params.get("N", 2))
-    P = int(params.get("P", 1))
-    seeds = int(params.get("seeds", 10))
-    K = params.get("K")
-    L = int(params.get("L", 8))
+def _scheme_and_space(params: dict, T: int):
+    """The scheme and virtual file space of a simulate or audit run; nu
+    defaults to the N**T symbols repeated_pir needs, else to 1."""
+    scheme = protocol.make_scheme(params["scheme"])
+    nu = params["nu"]
+    if nu is None:
+        nu = params["N"] ** T if scheme.name == "repeated_pir" else 1
+    return scheme, protocol.VirtualFileSpace(T=T, q=params["q"], nu=nu)
 
+
+def cmd_simulate(params: dict, master_seed: int):
+    q, K, N, P, L = params["q"], params["K"], params["N"], params["P"], params["L"]
     if K is not None:
-        T = pair_count(int(K))
-    elif params.get("T") is not None:
-        T = int(params["T"])
+        T = pair_count(K)
+    elif params["T"] is not None:
+        T = params["T"]
     else:
         raise ValueError("simulate needs --K or --T")
-    nu = params.get("nu")
-    if nu is None:
-        nu = N**T if scheme.name == "repeated_pir" else 1
-    nu = int(nu)
-    space = protocol.VirtualFileSpace(T=T, q=q, nu=nu)
+    scheme, space = _scheme_and_space(params, T)
     scheme.check_supports(space, N)
     if not 1 <= P <= T:
         raise ValueError(f"P must lie in [1, T={T}]")
@@ -176,24 +265,17 @@ def cmd_simulate(params: dict, master_seed: int):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[master_seed, i]))
         request = tuple(sorted(rng.choice(T, size=P, replace=False).tolist()))
         if K is not None:
-            db = Database(q, rng.integers(0, q, size=(nu, int(K), L), dtype=np.int64))
-            tr = protocol.retrieve_pairs(
-                scheme,
-                protocol.PairSet({pair_unrank(int(K), r) for r in request}),
-                db,
-                N,
-                seed=np.random.SeedSequence(entropy=[master_seed, i, 1]),
-            )
+            db = Database(q, rng.integers(0, q, size=(space.nu, K, L), dtype=np.int64))
+            _, data = protocol.virtual_data_from_databases(db)
         else:
-            data = rng.integers(0, q, size=(T, nu))
-            tr = protocol.run_retrieval(
-                scheme, space, N, request, data,
-                seed=np.random.SeedSequence(entropy=[master_seed, i, 1]),
-            )
-        return tr
+            data = rng.integers(0, q, size=(T, space.nu))
+        return protocol.run_retrieval(
+            scheme, space, N, request, data,
+            seed=np.random.SeedSequence(entropy=[master_seed, i, 1]),
+        )
 
     # no pool: runs hold the GIL, so threads would only add switching between them
-    transcripts = [one_run(i) for i in range(seeds)]
+    transcripts = [one_run(i) for i in range(params["seeds"])]
     summary = protocol.rate_summary(transcripts, N)
     results = {
         "rate": summary,
@@ -209,8 +291,8 @@ def cmd_simulate(params: dict, master_seed: int):
         ],
     }
     if K is not None:
-        lam2 = spectral.lambda2(q, int(K))
-        cb = bounds.theorem1_bounds(int(K), P, N, L=L, lambda2=lam2)
+        lam2 = spectral.lambda2(q, K)
+        cb = bounds.theorem1_bounds(K, P, N, L=L, lambda2=lam2)
         results["theorem_bracket"] = {
             "lambda2": lam2,
             "L": L,
@@ -221,44 +303,15 @@ def cmd_simulate(params: dict, master_seed: int):
 
 
 def cmd_audit(params: dict, master_seed: int):
-    scheme = protocol.make_scheme(str(params.get("scheme", "full_download")))
-    mode = str(params.get("mode", "exact"))
-    T = int(params.get("T", 3))
-    q = int(params.get("q", 5))
-    N = int(params.get("N", 2))
-    P = int(params.get("P", 1))
-    nu = params.get("nu")
-    if nu is None:
-        nu = N**T if scheme.name == "repeated_pir" else 1
-    space = protocol.VirtualFileSpace(T=T, q=q, nu=int(nu))
-    samples = params.get("samples")
+    scheme, space = _scheme_and_space(params, params["T"])
     report = protocol.audit_privacy(
-        scheme,
-        space,
-        N,
-        P,
-        mode=mode,
-        samples=int(samples) if samples is not None else None,
-        seed=master_seed,
+        scheme, space, params["N"], params["P"],
+        mode=params["mode"], samples=params["samples"], seed=master_seed,
     )
-    payload = {
-        "scheme": report.scheme,
-        "mode": report.mode,
-        "T": report.T,
-        "P": report.P,
-        "N": report.n_servers,
-        "nu": report.nu,
-        "passed": report.passed,
-        "count_symmetric": report.count_symmetric,
-        "max_tv_distance": report.max_tv_distance,
-        "samples": report.samples,
-        "alpha": report.alpha,
-        "bonferroni_threshold": report.threshold,
-        "min_pvalue": report.min_pvalue,
-        "worst_test": report.worst_test,
-        "n_tests": report.n_tests,
-        "tests": report.tests,
-    }
+    # a shallow copy: asdict's deep copy of the tests costs 0.3 ms an audit
+    payload = dict(vars(report))
+    payload["N"] = payload.pop("n_servers")
+    payload["bonferroni_threshold"] = payload.pop("threshold")
     return payload, EXIT_OK
 
 
@@ -293,15 +346,10 @@ def _read_csv_dataset(path: str, label: str | None):
 
 
 def cmd_ml_demo(params: dict, master_seed: int):
-    task = str(params.get("task", "svm"))
-    if task not in ("svm", "regression", "pca"):
-        raise ValueError(f"unknown task {task!r}")
-    label = params.get("label")
+    task, label, private = params["task"], params["label"], params["private"]
     if task in ("svm", "regression") and label is None:
         raise ValueError(f"task {task!r} needs --label")
-    _require(params, "ml-demo", "data")
-    X, y, names = _read_csv_dataset(str(params["data"]), label)
-    private = bool(params.get("private", False))
+    X, y, names = _read_csv_dataset(params["data"], label)
 
     result = {
         "task": task,
@@ -310,9 +358,9 @@ def cmd_ml_demo(params: dict, master_seed: int):
         "gram_mode": "private" if private else "direct",
     }
     if private:
-        scale = float(params.get("scale", 100.0))
-        q = int(params.get("q", 10**9 + 7))
-        max_abs = float(params.get("max_abs") or max(1.0, float(np.max(np.abs(X)))))
+        scale, q, max_abs = params["scale"], params["q"], params["max_abs"]
+        if max_abs is None:
+            max_abs = max(1.0, float(np.max(np.abs(X))))
         codec = gram_ml.FixedPointCodec(scale=scale, q=q, max_abs=max_abs)
         G, transcript = gram_ml.private_gram(X, codec, seed=master_seed)
         bitmatch = G.tobytes() == gram_ml.direct_gram(X, codec).tobytes()
@@ -326,8 +374,8 @@ def cmd_ml_demo(params: dict, master_seed: int):
         X_eff = X
 
     if task == "svm":
-        box = params.get("box")
-        sol = gram_ml.svm_dual_train(G, y, box=float(box) if box is not None else None)
+        box = params["box"]
+        sol = gram_ml.svm_dual_train(G, y, box=box)
         w = (sol.alpha * y) @ X_eff
         raw_dec = X_eff @ w + sol.bias
         gram_dec = gram_ml.svm_decision(sol, y, G)
@@ -357,7 +405,7 @@ def cmd_ml_demo(params: dict, master_seed: int):
             }
         )
     else:
-        d = int(params.get("d", min(2, X.shape[0])))
+        d = params["d"] if params["d"] is not None else min(2, X.shape[0])
         lam, U = gram_ml.pca_gram(G, d)
         proj = gram_ml.pca_project(lam, U, G)
         w_raw, V_raw = np.linalg.eigh(X_eff.T @ X_eff)
@@ -403,22 +451,19 @@ def dispatch(config: RunConfig) -> tuple[Report, int]:
     handler = HANDLERS.get(config.command)
     if handler is None:
         raise ValueError(f"unknown command {config.command!r}")
+    params = resolve_params(config.command, config.params)
     start = time.perf_counter()
-    results, status = handler(config.params, config.master_seed)
+    results, status = handler(params, config.master_seed)
     elapsed = time.perf_counter() - start
     report = Report(
         command=config.command,
-        params=_jsonable_params(config.params),
+        params={k: v for k, v in sorted(config.params.items()) if v is not None},
         version=__version__,
         master_seed=config.master_seed,
         results=results,
         wall_clock_s=elapsed,
     )
     return report, status
-
-
-def _jsonable_params(params: dict) -> dict:
-    return {k: v for k, v in sorted(params.items()) if v is not None}
 
 
 def render_report(report: Report, fmt: str) -> str:
@@ -468,70 +513,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["json", "csv"], dest="fmt")
         p.add_argument("--master-seed", type=int, dest="master_seed")
 
-    p = sub.add_parser("capacity", help="bound rows over a (K, P, N) grid")
-    common(p)
-    p.add_argument("--K", help="file-count grid, e.g. 2..4 or 2,5")
-    p.add_argument("--P", help="requested-count grid")
-    p.add_argument("--N", help="server-count grid")
-    p.add_argument("--verbose", action="store_const", const=True, default=None,
-                   help="also emit the raw rate fraction, checked exactly")
-
-    p = sub.add_parser("spectrum", help="lambda2 and irreducibility for one (q, K)")
-    common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--K", type=int)
-
-    p = sub.add_parser("converge", help="distance-to-uniform trace (CSV by default)")
-    common(p)
-    p.add_argument("--q", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--Lmax", type=int)
-
-    p = sub.add_parser("simulate", help="retrieval runs with rate accounting")
-    common(p)
-    p.add_argument("--scheme", choices=sorted(protocol.SCHEMES))
-    p.add_argument("--q", type=int)
-    p.add_argument("--K", type=int, help="derive T = K(K+1)/2 from databases")
-    p.add_argument("--T", type=int, help="virtual file count (decoupled mode)")
-    p.add_argument("--N", type=int)
-    p.add_argument("--P", type=int)
-    p.add_argument("--nu", type=int)
-    p.add_argument("--L", type=int, help="file length for database-derived runs")
-    p.add_argument("--seeds", type=int, help="number of independent runs")
-
-    p = sub.add_parser("audit", help="privacy audit across all request sets")
-    common(p)
-    p.add_argument("--scheme", choices=sorted(protocol.SCHEMES))
-    p.add_argument("--mode", choices=["exact", "sampled"])
-    p.add_argument("--samples", type=int)
-    p.add_argument("--T", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--P", type=int)
-    p.add_argument("--nu", type=int)
-
-    p = sub.add_parser("ml-demo", help="Gram-only ML on a CSV dataset")
-    common(p)
-    p.add_argument("--data", help="CSV path with a header row")
-    p.add_argument("--label", help="label column name")
-    p.add_argument("--task", choices=["svm", "regression", "pca"])
-    p.add_argument("--private", action="store_const", const=True, default=None,
-                   help="produce the Gram matrix through the retrieval simulator")
-    p.add_argument("--scale", type=float, help="fixed-point scale")
-    p.add_argument("--q", type=int, help="codec modulus (prime)")
-    p.add_argument("--max-abs", type=float, dest="max_abs")
-    p.add_argument("--d", type=int, help="PCA target dimension")
-    p.add_argument("--box", type=float, help="SVM box bound (soft margin)")
-
-    p = sub.add_parser("reproduce", help="run the verification suite")
-    common(p)
+    for command, (help_text, declared) in PARAMS.items():
+        p = sub.add_parser(command, help=help_text)
+        common(p)
+        for name, (kind, _, help_text) in declared.items():
+            if kind is bool:
+                how = dict(action="store_const", const=True, default=None)
+            elif isinstance(kind, tuple):
+                how = dict(choices=kind)
+            else:  # a parse_range value stays the text given, as the report echoes it
+                how = dict(type=kind if kind in (int, float) else None)
+            p.add_argument(_flag(name), dest=name, help=help_text, **how)
 
     return parser
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config-file params, and explicit flags (flags win)."""
-    meta = {"command", "config", "output", "fmt", "master_seed"}
+    """Merge config-file params and explicit flags (flags win); dispatch
+    checks the merged params and fills in the defaults."""
     params = {}
     output = args.output
     fmt = args.fmt
@@ -557,16 +556,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"config format must be json or csv, not {fmt!r}")
         if master_seed is None:
             master_seed = filed.get("master_seed")
-            if master_seed is not None and (
-                not isinstance(master_seed, int) or isinstance(master_seed, bool)
-            ):
+            if master_seed is not None and type(master_seed) is not int:
                 raise ValueError(f"config master_seed must be an integer, not {master_seed!r}")
         # a null value leaves its param unset, as an omitted flag does
         params.update((key, val) for key, val in file_params.items() if val is not None)
-    for key, val in vars(args).items():
-        if key in meta or val is None:
-            continue
-        params[key] = val
+    for name in PARAMS[args.command][1]:
+        if getattr(args, name) is not None:
+            params[name] = getattr(args, name)
     if fmt is None:
         fmt = DEFAULT_FORMATS.get(args.command, "json")
     if master_seed is None:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -16,6 +17,7 @@ from pipret.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    PARAMS,
     RunConfig,
     build_parser,
     dispatch,
@@ -75,6 +77,14 @@ def test_capacity_rejects_K_below_one(K, bad, capsys):
     assert code == EXIT_VALIDATION
     assert f"K_files must be >= 1, got {bad}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("K,reason", [("abc", "invalid literal"), ("5..2", "empty range")])
+def test_capacity_names_the_flag_of_an_unreadable_range(K, reason, capsys):
+    code, out, err = _run(["capacity", f"--K={K}", "--P", "1", "--N", "2"], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"error: capacity --K: {reason}")
 
 
 def test_spectrum_command_exact_keys(capsys):
@@ -291,6 +301,19 @@ def test_ml_demo_private_rejects_a_bad_modulus(q, reason, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_ml_demo_rejects_a_zero_max_abs(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    _write_dataset(data)
+    code, out, err = _run(
+        ["ml-demo", "--data", str(data), "--label", "label", "--task", "svm", "--private",
+         "--max-abs", "0"],
+        capsys,
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: scale and max_abs must be positive\n"
+
+
 def test_ml_demo_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = _run(
         ["ml-demo", "--data", str(tmp_path / "nope.csv"), "--label", "y",
@@ -381,6 +404,95 @@ def test_config_file_null_values_are_unset(tmp_path, capsys):
     code, out, _ = _run(argv + ["--config", str(cfg)], capsys)
     assert code == EXIT_OK
     assert out == unset
+
+
+# a valid value of every parameter of each command, as a config file holds it
+_VALID_PARAMS = {
+    "capacity": {"K": "2..3", "P": [1, 2], "N": 2, "verbose": False},
+    "spectrum": {"q": 3, "K": 2},
+    "converge": {"q": 3, "K": 2, "Lmax": 5},
+    "simulate": {"scheme": "repeated_pir", "q": 5, "K": None, "T": 2, "N": 2, "P": 1,
+                 "nu": 4, "L": 8, "seeds": 2},
+    "audit": {"scheme": "repeated_pir", "mode": "sampled", "samples": 100, "T": 2, "q": 5,
+              "N": 2, "P": 1, "nu": 4},
+    "ml-demo": {"data": "data.csv", "label": "label", "task": "svm", "private": True,
+                "scale": 100, "q": 101, "max_abs": 2.5, "d": 1, "box": 10.0},
+    "reproduce": {},
+}
+
+
+def _wrong_values(kind):
+    values = [[7.9]]
+    if kind is int:
+        values += [7.9, "7", True]
+    elif kind is float:
+        values += ["7", True]
+    elif kind is bool:
+        values += ["no", 1]
+    elif isinstance(kind, tuple):
+        values += ["nope"]
+    return values
+
+
+_WRONG = [
+    pytest.param(command, name, value, id=f"{command}-{name}-{json.dumps(value)}")
+    for command, (_, declared) in PARAMS.items()
+    for name, (kind, _, _) in declared.items()
+    for value in _wrong_values(kind)
+]
+
+
+@pytest.mark.parametrize("command,name,value", _WRONG)
+def test_config_value_of_the_wrong_type_is_validation_error(command, name, value, tmp_path,
+                                                            capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": dict(_VALID_PARAMS[command], **{name: value})}))
+    code, out, err = _run([command, "--config", str(cfg)], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    flag = "--" + name.replace("_", "-")
+    assert err.startswith(f"error: {command} {flag} must be ")
+    assert err.endswith(f", not {value!r}\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(PARAMS))
+def test_config_unknown_parameter_is_validation_error(command, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": dict(_VALID_PARAMS[command], Lmx=5)}))
+    code, out, err = _run([command, "--config", str(cfg)], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {command} has no parameter 'Lmx'\n"
+
+
+def test_library_dispatch_checks_its_params():
+    with pytest.raises(ValueError, match=r"spectrum --q must be an integer, not 7\.9"):
+        dispatch(RunConfig("spectrum", {"q": 7.9, "K": 2}, None, "json", 1))
+
+
+def test_config_range_values_of_each_json_type(tmp_path, capsys):
+    """A parse_range value may be an integer, a list or a range string; the
+    report echoes the values as given."""
+    code, want, _ = _run(["capacity", "--K", "2,3", "--P", "1", "--N", "2"], capsys)
+    assert code == EXIT_OK
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"K": [2, 3], "P": 1, "N": "2"}}))
+    code, out, _ = _run(["capacity", "--config", str(cfg)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"] == json.loads(want)["results"]
+    assert json.loads(out)["params"] == {"K": [2, 3], "P": 1, "N": "2"}
+
+
+def test_each_parser_declares_exactly_its_params():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert list(subparsers.choices) == list(PARAMS)
+    common = {"--config", "--output", "--format", "--master-seed", "-h", "--help"}
+    for command, sub in subparsers.choices.items():
+        flags = {opt for action in sub._actions for opt in action.option_strings}
+        declared = {"--" + name.replace("_", "-") for name in PARAMS[command][1]}
+        assert flags == declared | common, command
 
 
 def test_reports_byte_identical_for_same_config():
