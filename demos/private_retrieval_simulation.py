@@ -51,7 +51,7 @@ db = Database(q, np.random.default_rng(3).integers(0, q, size=(nu, K, 6)))
 pairs = PairSet({PairIndex(1, 2)})
 tr = retrieve_pairs(RepeatedPirScheme(), pairs, db, N, seed=3)
 # one (nu, T) table: row n is instance n's inner products in pair order
-table = compute_table(db).values
+table = compute_table(db)
 truth = table[:, pair_rank(K, PairIndex(1, 2))].tolist()
 print(f"  requested pair {{1,2}} across {nu} database instances (table {table.shape})")
 print(f"  decoded : {tr.decoded[0].tolist()}")

@@ -19,7 +19,6 @@ from .bounds import (
 )
 from .fields import (
     Database,
-    InnerProductVector,
     PairIndex,
     PairOrdering,
     compute_table,

@@ -250,12 +250,16 @@ def _scheme_and_space(params: dict, T: int):
 
 def cmd_simulate(params: dict, master_seed: int):
     q, K, N, P, L = params["q"], params["K"], params["N"], params["P"], params["L"]
+    if K is not None and params["T"] is not None:
+        raise ValueError("simulate takes --K or --T, not both")
     if K is not None:
         T = pair_count(K)
     elif params["T"] is not None:
         T = params["T"]
     else:
         raise ValueError("simulate needs --K or --T")
+    if params["seeds"] < 1:
+        raise ValueError("simulate --seeds must be at least 1")
     scheme, space = _scheme_and_space(params, T)
     scheme.check_supports(space, N)
     if not 1 <= P <= T:

@@ -3,11 +3,11 @@
 Everything downstream (the Markov analysis, the retrieval simulator, the
 Gram-matrix pipeline) consumes the objects defined here: a ``Database`` of K
 length-L files over F(q), the canonical ordering of the K(K+1)/2 unordered
-file pairs, and the vector of all pairwise inner products in that order.
-A ``Database`` may also hold nu independent instances stacked on a leading
-axis; its table then has one row of K(K+1)/2 inner products per instance,
-which is how the retrieval simulator gives each inner product a message
-length of nu symbols.
+file pairs, and ``compute_table``, the read-only int64 array of all
+pairwise inner products in that order.  A ``Database`` may also hold nu
+independent instances stacked on a leading axis; its table then has one row
+of K(K+1)/2 inner products per instance, which is how the retrieval
+simulator gives each inner product a message length of nu symbols.
 
 All values are immutable after construction and all operations are pure
 functions, so instances can be shared freely across threads.
@@ -194,27 +194,6 @@ class PairOrdering:
 # --- inner-product tables ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InnerProductVector:
-    """All pairwise inner products of a database, in canonical pair order:
-    shape (T,), or (nu, T) with one row per instance of a stacked database,
-    where T = K(K+1)/2."""
-
-    q: int
-    K: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        q = _check_prime_modulus(self.q)
-        vals = np.mod(np.asarray(self.values, dtype=np.int64), q)
-        if vals.ndim not in (1, 2) or vals.shape[-1] != pair_count(self.K):
-            raise ValueError(
-                f"expected {pair_count(self.K)} values for K={self.K}, got {vals.shape}"
-            )
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "values", vals)
-        self.values.setflags(write=False)
-
 @lru_cache(maxsize=32)
 def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the upper triangle of a K x K matrix, in
@@ -225,11 +204,11 @@ def _triangle(K: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def compute_table(db: Database) -> InnerProductVector:
+def compute_table(db: Database) -> np.ndarray:
     """The length-K(K+1)/2 vector of all pairwise inner products <W_i, W_j>
     mod q, diagonal pairs included, in canonical pair order; for a stacked
     database one such row per instance, shape (nu, K(K+1)/2), from one
-    batched product.
+    batched product.  A read-only int64 array of values in [0, q).
 
     Exact in int64: the columns go in blocks of floor((2**63 - 1) / (q-1)**2),
     so no block's dot product can pass 2**63 - 1, and the blocks' products
@@ -249,4 +228,6 @@ def compute_table(db: Database) -> InnerProductVector:
         E = E.astype(object)
         gram = (E @ E.swapaxes(-1, -2)) % q
     iu, ju = _triangle(db.K)
-    return InnerProductVector(q, db.K, gram[..., iu, ju].astype(np.int64))
+    table = gram[..., iu, ju].astype(np.int64, copy=False)
+    table.setflags(write=False)
+    return table

@@ -15,10 +15,11 @@ its inner products with the training points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .fields import Database, InnerProductVector, _check_prime_modulus
+from .fields import Database, _check_prime_modulus, pair_count
 
 # importable from here as before; perfbench's tracer test looks it up here
 from .fields import PairOrdering  # noqa: F401
@@ -30,13 +31,13 @@ EIG_CUTOFF = 1e-10
 MAX_PAIR_UPDATES = 100_000
 
 
-def validate_gram(G: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Check symmetry and positive semidefiniteness within tolerance.
+def validate_gram(G: np.ndarray) -> np.ndarray:
+    """Check symmetry and positive semidefiniteness within ``PSD_TOL``.
 
     Returns the validated array; raises ValueError otherwise.
     """
     G = _symmetric_gram(G)
-    _check_psd(np.linalg.eigvalsh(G), tol)
+    _check_psd(np.linalg.eigvalsh(G))
     return G
 
 
@@ -49,10 +50,10 @@ def _symmetric_gram(G) -> np.ndarray:
     return G
 
 
-def _check_psd(w: np.ndarray, tol: float = PSD_TOL) -> None:
-    """Raise unless the ascending eigenvalues ``w`` are PSD within tolerance."""
+def _check_psd(w: np.ndarray) -> None:
+    """Raise unless the ascending eigenvalues ``w`` are PSD within ``PSD_TOL``."""
     scale = max(float(w[-1]), 0.0)
-    if w[0] < -tol * max(scale, 1.0):
+    if w[0] < -PSD_TOL * max(scale, 1.0):
         raise ValueError(f"Gram matrix is not PSD: min eigenvalue {w[0]:.3e}")
 
 
@@ -70,22 +71,17 @@ class DualSolution:
         return np.nonzero(self.alpha > SUPPORT_TOL)[0]
 
 
-def svm_dual_train(
-    gram,
-    labels,
-    box: float | None = None,
-    tol: float = KKT_TOL,
-    max_iter: int = MAX_PAIR_UPDATES,
-) -> DualSolution:
+def svm_dual_train(gram, labels, box: float | None = None) -> DualSolution:
     """Maximize sum(alpha) - 1/2 sum alpha_i alpha_j y_i y_j G_ij subject to
     alpha >= 0 (optionally alpha <= box) and sum alpha_i y_i = 0.
 
     Pairwise coordinate ascent: each step picks the pair with the largest
     optimality violation and solves the two-variable subproblem in closed
-    form on the equality-constraint line.  Hard margin is the default; pass
-    ``box`` for non-separable data.  Raises ValueError on one-class labels,
-    on inseparable hard-margin data, on non-convergence, and when no
-    support vector emerges.
+    form on the equality-constraint line, until the largest violation falls
+    below ``KKT_TOL``.  Hard margin is the default; pass ``box`` for
+    non-separable data.  Raises ValueError on one-class labels, on
+    inseparable hard-margin data, on no convergence within
+    ``MAX_PAIR_UPDATES`` pair updates, and when no support vector emerges.
     """
     G = validate_gram(gram)
     y = np.asarray(labels, dtype=float).reshape(-1)
@@ -117,10 +113,10 @@ def svm_dual_train(
         i = int(np.flatnonzero(up_mask)[np.argmax(score[up_mask])])
         j = int(np.flatnonzero(low_mask)[np.argmin(score[low_mask])])
         violation = score[i] - score[j]
-        if violation < tol:
+        if violation < KKT_TOL:
             break
-        if it >= max_iter:
-            raise ValueError(f"no convergence after {max_iter} pair updates")
+        if it >= MAX_PAIR_UPDATES:
+            raise ValueError(f"no convergence after {MAX_PAIR_UPDATES} pair updates")
         it += 1
 
         eta = G[i, i] + G[j, j] - 2.0 * G[i, j]
@@ -326,24 +322,29 @@ def encode_dataset(X: np.ndarray, codec: FixedPointCodec) -> Database:
     return Database(codec.q, E % codec.q)
 
 
-def decode_gram_integer(ipv: InnerProductVector, codec: FixedPointCodec) -> np.ndarray:
-    """Exact integer Gram matrix from a mod-q inner-product vector, lifting
-    each value to its centered representative in (-q/2, q/2]."""
-    m, q = ipv.K, codec.q
-    if ipv.q != q:
-        raise ValueError(f"modulus mismatch: vector has q={ipv.q}, codec q={q}")
+def decode_gram_integer(table, codec: FixedPointCodec) -> np.ndarray:
+    """Exact integer Gram matrix from the m(m+1)/2 inner products mod
+    ``codec.q`` of m samples in canonical pair order (``compute_table`` of
+    one database), lifting each value to its centered representative in
+    (-q/2, q/2].  Raises ValueError on a length that is not m(m+1)/2."""
+    q = codec.q
+    values = np.asarray(table, dtype=np.int64) % q
+    m = (isqrt(8 * values.size + 1) - 1) // 2
+    if values.ndim != 1 or m < 1 or pair_count(m) != values.size:
+        raise ValueError(
+            f"expected m(m+1)/2 inner products for an m >= 1, got shape {values.shape}"
+        )
+    centered = np.where(values > q // 2, values - q, values)
     G = np.zeros((m, m), dtype=np.int64)
     iu, ju = np.triu_indices(m)
-    centered = ipv.values.astype(np.int64).copy()
-    centered[centered > q // 2] -= q
     G[iu, ju] = centered
     G[ju, iu] = centered
     return G
 
 
-def decode_gram(ipv: InnerProductVector, codec: FixedPointCodec) -> np.ndarray:
+def decode_gram(table, codec: FixedPointCodec) -> np.ndarray:
     """Real Gram matrix: the integer Gram divided by scale**2."""
-    return decode_gram_integer(ipv, codec) / codec.scale**2
+    return decode_gram_integer(table, codec) / codec.scale**2
 
 
 def direct_gram(X: np.ndarray, codec: FixedPointCodec) -> np.ndarray:
@@ -353,29 +354,21 @@ def direct_gram(X: np.ndarray, codec: FixedPointCodec) -> np.ndarray:
     return (E @ E.T) / codec.scale**2
 
 
-def private_gram(
-    X: np.ndarray,
-    codec: FixedPointCodec,
-    scheme=None,
-    n_servers: int = 2,
-    seed=0,
-):
+def private_gram(X: np.ndarray, codec: FixedPointCodec, n_servers: int = 2, seed=0):
     """Encode, retrieve every pair through the simulator, decode.
 
     The request is every pair rank, ``range(T)`` with T = m(m+1)/2, over the
-    one-instance virtual files of the encoded dataset.  Returns (real Gram,
-    transcript).  The default scheme is the constant-query full download,
-    which supports any pair count.
+    one-instance virtual files of the encoded dataset, retrieved by the
+    constant-query full download, which supports any pair count.  Returns
+    (real Gram, transcript).
     """
     from . import protocol  # local import: protocol does not need gram_ml
 
-    if scheme is None:
-        scheme = protocol.FullDownloadScheme()
+    scheme = protocol.FullDownloadScheme()
     db = encode_dataset(X, codec)
     space, data = protocol.virtual_data_from_databases(db)
     transcript = protocol.run_retrieval(scheme, space, n_servers, range(space.T), data, seed)
-    ipv = InnerProductVector(db.q, db.K, transcript.decoded[:, 0])
-    return decode_gram(ipv, codec), transcript
+    return decode_gram(transcript.decoded[:, 0], codec), transcript
 
 
 def gram_from_raw(X: np.ndarray) -> np.ndarray:

@@ -414,86 +414,6 @@ class LeakyIndexScheme(RetrievalScheme):
 # --- subpacketized side-information scheme -------------------------------------
 
 
-@dataclass(frozen=True)
-class _RunStructure:
-    """Symbolic single-run query layout for desired file 0 of T files.
-
-    Sums reference (file, slot) with slot a per-file fresh counter; actual
-    symbol indices come from per-run private permutations.  ``recover``
-    lists how each desired slot is decoded, referencing original sum
-    positions.  ``produced``/``consumed`` record the side-information
-    bookkeeping per round for verification.
-    """
-
-    T: int
-    N: int
-    sums: tuple
-    recover: tuple
-    used: tuple
-    produced: tuple
-    consumed: tuple
-
-
-@lru_cache(maxsize=None)
-def _pir_run_structure(T: int, N: int) -> _RunStructure:
-    counters = [0] * T
-
-    def fresh(f: int) -> int:
-        counters[f] += 1
-        return counters[f] - 1
-
-    sums = [[] for _ in range(N)]
-    recover = []
-    side_prev = [[] for _ in range(N)]
-    produced = [[0] * (T + 1) for _ in range(N)]
-    consumed = [[0] * (T + 1) for _ in range(N)]
-
-    # round 1: one fresh symbol of every file at every server
-    for n in range(N):
-        slot = fresh(0)
-        recover.append(("direct", n, len(sums[n]), slot))
-        sums[n].append(((0, slot),))
-        cur = []
-        for k in range(1, T):
-            cur.append(len(sums[n]))
-            sums[n].append(((k, fresh(k)),))
-        side_prev[n] = cur
-        produced[n][1] = len(cur)
-
-    # round t: pair a fresh desired symbol with every (t-1)-sum of
-    # undesired files downloaded elsewhere, and add fresh undesired t-sums
-    for t in range(2, T + 1):
-        side_next = [[] for _ in range(N)]
-        for n in range(N):
-            for n2 in range(N):
-                if n2 == n:
-                    continue
-                for pos2 in side_prev[n2]:
-                    slot = fresh(0)
-                    terms = ((0, slot),) + sums[n2][pos2]
-                    recover.append(("diff", n, len(sums[n]), slot, n2, pos2))
-                    sums[n].append(terms)
-                    consumed[n2][t - 1] += 1
-            for files in itertools.combinations(range(1, T), t):
-                for _rep in range((N - 1) ** (t - 1)):
-                    terms = tuple((k, fresh(k)) for k in files)
-                    side_next[n].append(len(sums[n]))
-                    sums[n].append(terms)
-            produced[n][t] = len(side_next[n])
-        side_prev = side_next
-
-    assert counters[0] == N**T, "desired-symbol pool must be exactly exhausted"
-    return _RunStructure(
-        T=T,
-        N=N,
-        sums=tuple(tuple(s) for s in sums),
-        recover=tuple(recover),
-        used=tuple(counters),
-        produced=tuple(tuple(p) for p in produced),
-        consumed=tuple(tuple(c) for c in consumed),
-    )
-
-
 def per_server_download(T: int, N: int) -> int:
     """Symbols each server ships per run: sum_t C(T,t) (N-1)**(t-1)."""
     return sum(comb(T, t) * (N - 1) ** (t - 1) for t in range(1, T + 1))
@@ -501,7 +421,7 @@ def per_server_download(T: int, N: int) -> int:
 
 @dataclass(frozen=True)
 class _RunLayout:
-    """One run of ``_pir_run_structure`` with desired file theta.
+    """One run of the single-message scheme with desired file theta.
 
     ``sums[n]`` is server n's ``SumBlock`` of sums in the order they are
     sent, terms in file order, whose ``indices`` are slots: a slot becomes a
@@ -519,31 +439,63 @@ class _RunLayout:
 
 @lru_cache(maxsize=None)
 def _run_layout(T: int, N: int, theta: int) -> _RunLayout:
-    struct = _pir_run_structure(T, N)
-    # the structure retrieves file 0: relabel files 0 and theta
-    swap = list(range(T))
-    swap[0], swap[theta] = theta, 0
-    sums, flat_at = [], {}  # flat_at[n, pos]: where structure sum pos of server n lands
-    for n, server_sums in enumerate(struct.sums):
-        real = [tuple(sorted((swap[f], slot) for f, slot in terms)) for terms in server_sums]
-        # sorted by support, stable on structure order: the same sequence of
+    """The layout of one run retrieving file theta of T from N servers.
+
+    Round 1 asks every server for one fresh symbol of each file.  Round t
+    pairs a fresh desired symbol with each undesired (t-1)-sum another server
+    got in round t-1, and adds (N-1)**(t-1) fresh sums of each t undesired files.
+
+    Each file's slots count up from 0 in the order they are drawn.
+    """
+    # the undesired files in the order 1..T-1 with 0 in theta's place: the
+    # run for theta is the run for file 0 with files 0 and theta swapped,
+    # slot for slot and in the tie order of the support sort
+    others = [0 if k == theta else k for k in range(1, T)]
+    used = [0] * T
+
+    def fresh(f: int) -> tuple:
+        used[f] += 1
+        return f, used[f] - 1
+
+    sums = [[] for _ in range(N)]
+    reads = []  # (server, position, slot, side information (server, position) or None)
+    side_prev = []
+    for t in range(1, T + 1):
+        side_next = [[] for _ in range(N)]
+        for n in range(N):
+            sides = [None] if t == 1 else [
+                (n2, pos2) for n2 in range(N) if n2 != n for pos2 in side_prev[n2]
+            ]
+            for other in sides:
+                term = fresh(theta)
+                reads.append((n, len(sums[n]), term[1], other))
+                known = () if other is None else sums[other[0]][other[1]]
+                sums[n].append(tuple(sorted((term,) + known)))
+            for files in itertools.combinations(others, t):
+                for _rep in range((N - 1) ** (t - 1)):
+                    side_next[n].append(len(sums[n]))
+                    sums[n].append(tuple(sorted(fresh(k) for k in files)))
+        side_prev = side_next
+    assert used[theta] == N**T, "desired-symbol pool must be exactly exhausted"
+
+    blocks, flat_at = [], {}  # flat_at[n, pos]: where sum pos of server n lands
+    for n, own in enumerate(sums):
+        # sorted by support, stable on build order: the same sequence of
         # supports for every theta, whatever the run's permutations
-        order = sorted(range(len(real)), key=lambda p: (len(real[p]), [f for f, _ in real[p]]))
+        order = sorted(range(len(own)), key=lambda p: (len(own[p]), [f for f, _ in own[p]]))
         flat_at.update({(n, pos): len(flat_at) + sent for sent, pos in enumerate(order)})
-        in_order = [real[pos] for pos in order]
+        in_order = [own[pos] for pos in order]
         terms = [t for s in in_order for t in s]
         starts = np.cumsum([0] + [len(s) for s in in_order[:-1]])
-        sums.append(SumBlock([f for f, _ in terms], [slot for _, slot in terms], starts))
-    desired, read, side = [], [], []
-    for kind, n, pos, slot, *other in struct.recover:
-        desired.append(slot)
-        read.append(flat_at[n, pos])
-        # a "direct" symbol subtracts the appended 0
-        side.append(flat_at[tuple(other)] if kind == "diff" else len(flat_at))
+        blocks.append(SumBlock([f for f, _ in terms], [slot for _, slot in terms], starts))
+    # a symbol read without side information subtracts the appended 0
+    desired = [slot for _, _, slot, _ in reads]
+    read = [flat_at[n, pos] for n, pos, _, _ in reads]
+    side = [len(flat_at) if other is None else flat_at[other] for _, _, _, other in reads]
     arrays = [np.array(a, dtype=np.intp) for a in (desired, read, side)]
     for a in arrays:
         a.flags.writeable = False
-    return _RunLayout(tuple(sums), *arrays)
+    return _RunLayout(tuple(blocks), *arrays)
 
 
 class RepeatedPirScheme(RetrievalScheme):
@@ -712,6 +664,11 @@ def make_scheme(name: str) -> RetrievalScheme:
 # --- running retrievals ---------------------------------------------------------
 
 
+def _server_downloads(plan: QueryPlan) -> tuple:
+    """Symbols each server ships for a plan: the sums in its blocks."""
+    return tuple(sum(len(block) for block in sq) for sq in plan.server_queries)
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -754,7 +711,7 @@ def run_retrieval(
         raise DecodeMismatchError(
             f"{scheme.name} decoded wrong symbols for request {request}"
         )
-    counts = tuple(sum(len(block) for block in sq) for sq in plan.server_queries)
+    counts = _server_downloads(plan)
     return RetrievalTranscript(
         scheme=scheme.name,
         space=space,
@@ -774,7 +731,7 @@ def virtual_data_from_databases(db: Database) -> tuple[VirtualFileSpace, np.ndar
     inner-product table of instance n of a stacked (nu, K, L) database, and
     a single (K, L) database gives the one column of its table."""
     T = pair_count(db.K)
-    data = compute_table(db).values.reshape(-1, T).T
+    data = compute_table(db).reshape(-1, T).T
     return VirtualFileSpace(T=T, q=db.q, nu=data.shape[1]), data
 
 
@@ -904,7 +861,7 @@ def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
     for req in request_sets:
         plan = scheme.query(space, n_servers, req, np.random.default_rng(0))
         queries.append(tuple(plan.server_queries))
-        counts.append(tuple(sum(len(b) for b in sq) for sq in plan.server_queries))
+        counts.append(_server_downloads(plan))
     # equality is transitive, so the first differing pair involves set 0
     differing = next(
         (
@@ -996,8 +953,7 @@ def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alp
 
 def _expected_counts(scheme, space, n_servers, req):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=[0]))
-    plan = scheme.query(space, n_servers, req, rng)
-    return tuple(sum(len(b) for b in sq) for sq in plan.server_queries)
+    return _server_downloads(scheme.query(space, n_servers, req, rng))
 
 
 def _channel_label(ch) -> str:

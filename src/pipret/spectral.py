@@ -305,14 +305,13 @@ def accumulate_increment(columns: np.ndarray, q: int, K: int) -> np.ndarray:
     """Total table increment produced by a block of fresh columns.
 
     ``columns`` has one row per appended position and K entries per row;
-    the result is the length-T increment vector in canonical pair order
-    (the same computation as the inner-product table of the transposed
-    block).
+    the result is the length-T increment vector in canonical pair order, a
+    read-only int64 array (the inner-product table of the transposed block).
     """
     cols = np.asarray(columns, dtype=np.int64) % q
     if cols.ndim != 2 or cols.shape[1] != K:
         raise ValueError(f"columns must be (steps, {K})")
-    return compute_table(Database(q, cols.T)).values.copy()
+    return compute_table(Database(q, cols.T))
 
 
 def reachability_witness(q: int, K: int, e: int, a: int) -> np.ndarray:

@@ -186,21 +186,29 @@ def test_virtual_file_commands_reject_a_modulus_from_2_to_the_61(command, capsys
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("seeds", ["0", "-1"])
+@pytest.mark.parametrize("seeds", ["0", "-1", "-2"])
 def test_simulate_rejects_runs_without_seeds(seeds, capsys):
     code, out, err = _run(
         ["simulate", "--T", "2", "--scheme", "full_download", "--seeds", seeds], capsys
     )
     assert code == EXIT_VALIDATION
     assert out == ""
-    assert "at least one transcript" in err
-    assert "Traceback" not in err
+    assert err == "error: simulate --seeds must be at least 1\n"
 
 
 def test_simulate_requires_k_or_t(capsys):
     code, _, err = _run(["simulate", "--scheme", "full_download"], capsys)
     assert code == EXIT_VALIDATION
     assert "needs --K or --T" in err
+
+
+def test_simulate_rejects_both_k_and_t(capsys):
+    """Both would leave one unused while the report's params show it."""
+    argv = ["simulate", "--scheme", "full_download", "--K", "2", "--T", "5", "--P", "1"]
+    code, out, err = _run(argv + ["--seeds", "1"], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: simulate takes --K or --T, not both\n"
 
 
 @pytest.mark.parametrize(

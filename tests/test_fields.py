@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pipret import fields
 from pipret.fields import (
     Database,
-    InnerProductVector,
     PairIndex,
     PairOrdering,
     compute_table,
@@ -22,7 +21,7 @@ from pipret.fields import (
 
 def _cross(q, a, b):
     """The {1,2} entry of the table of the two-file database [a; b]."""
-    return int(compute_table(Database(q, [a, b])).values[pair_rank(2, PairIndex(1, 2))])
+    return int(compute_table(Database(q, [a, b]))[pair_rank(2, PairIndex(1, 2))])
 
 
 def test_inner_product_examples():
@@ -58,9 +57,9 @@ def test_is_prime_agrees_with_sieve():
 
 
 def test_compute_table_examples():
-    assert compute_table(Database(2, [[1], [1]])).values.tolist() == [1, 1, 1]
-    assert compute_table(Database(5, [[0, 0]])).values.tolist() == [0]
-    assert compute_table(Database(5, [[1, 2], [3, 4]])).values.tolist() == [0, 1, 0]
+    assert compute_table(Database(2, [[1], [1]])).tolist() == [1, 1, 1]
+    assert compute_table(Database(5, [[0, 0]])).tolist() == [0]
+    assert compute_table(Database(5, [[1, 2], [3, 4]])).tolist() == [0, 1, 0]
 
 
 def test_pair_rank_examples():
@@ -170,8 +169,8 @@ def test_compute_table_matches_integer_oracle_at_the_object_switch(data):
         db = Database(q, rng.integers(0, q, size=(K, L), dtype=np.int64))
     other = Database(q, rng.integers(0, q, size=(K_other, L), dtype=np.int64))
     # a table of another size first: the cached triangle of K must not be disturbed
-    assert compute_table(other).values.tolist() == _table_oracle(other)
-    assert compute_table(db).values.tolist() == _table_oracle(db)
+    assert compute_table(other).tolist() == _table_oracle(other)
+    assert compute_table(db).tolist() == _table_oracle(db)
     for idx in fields._triangle(K):
         assert not idx.flags.writeable
         with pytest.raises(ValueError):
@@ -194,7 +193,7 @@ def test_compute_table_matches_integer_oracle_next_to_python_integers(side, L):
         Database(q, np.full((3, L), q - 1, dtype=np.int64)),
         Database(q, rng.integers(0, q, size=(4, L), dtype=np.int64)),
     ):
-        assert compute_table(db).values.tolist() == _table_oracle(db)
+        assert compute_table(db).tolist() == _table_oracle(db)
 
 
 @pytest.mark.parametrize("q,width", [(10**9 + 7, 9), (2**31 - 1, 2), (65537, 2147483647)])
@@ -211,7 +210,7 @@ def test_compute_table_matches_integer_oracle_across_column_blocks(q, width):
             Database(q, np.full((3, L), q - 1, dtype=np.int64)),
             Database(q, rng.integers(0, q, size=(5, L), dtype=np.int64)),
         ):
-            assert compute_table(db).values.tolist() == _table_oracle(db)
+            assert compute_table(db).tolist() == _table_oracle(db)
 
 
 @pytest.mark.parametrize("q", [2, 5, 10**9 + 7, 2**61 - 1])
@@ -236,10 +235,10 @@ def test_compute_table_of_a_stack_is_the_stack_of_tables(q, nu, K, L, extreme, s
     db = Database(q, E)
     assert (db.K, db.L) == (K, L)
     stacked = compute_table(db)
-    assert stacked.values.shape == (nu, pair_count(K))
-    want = np.stack([compute_table(Database(q, e)).values for e in E])
-    assert stacked.values.tolist() == want.tolist()
-    assert stacked.values[0].tolist() == _table_oracle(Database(q, E[0]))
+    assert stacked.shape == (nu, pair_count(K))
+    want = np.stack([compute_table(Database(q, e)) for e in E])
+    assert stacked.tolist() == want.tolist()
+    assert stacked[0].tolist() == _table_oracle(Database(q, E[0]))
 
 
 @pytest.mark.parametrize(
@@ -262,22 +261,28 @@ def test_table_permutation_symmetry():
         for r, pair in enumerate(ordering):
             # file k of the permuted database is file perm[k]+1 of the original
             orig_pair = PairIndex(int(perm[pair.i - 1]) + 1, int(perm[pair.j - 1]) + 1)
-            assert table_perm.values[r] == table.values[pair_rank(K, orig_pair)]
+            assert table_perm[r] == table[pair_rank(K, orig_pair)]
 
 
 def test_append_column_delta_relation():
     db = random_database(5, 3, 4, seed=2)
     col = [1, 4, 2]
     grown = Database(5, np.hstack([db.entries, np.array(col)[:, None]]))
-    before = compute_table(db).values
-    after = compute_table(grown).values
+    before = compute_table(db)
+    after = compute_table(grown)
     for r, pair in enumerate(PairOrdering(3)):
         delta = col[pair.i - 1] * col[pair.j - 1] % 5
         assert after[r] == (before[r] + delta) % 5
 
 
-def test_inner_product_vector_validation():
-    ipv = InnerProductVector(5, 2, [1, 2, 3])
-    assert ipv.values[pair_rank(2, PairIndex(1, 2))] == 2
-    with pytest.raises(ValueError):
-        InnerProductVector(5, 2, [1, 2])
+@pytest.mark.parametrize("q", [5, 2**61 - 1])
+def test_compute_table_returns_a_read_only_int64_array(q):
+    """The table itself, for one database and a stack of them, on the int64
+    and the Python-integer path alike."""
+    for entries, shape in (([[1, 2], [3, 4]], (3,)), ([[[1, 2], [3, 4]]] * 2, (2, 3))):
+        table = compute_table(Database(q, entries))
+        assert type(table) is np.ndarray
+        assert table.dtype == np.int64 and table.shape == shape
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[..., 0] = 0

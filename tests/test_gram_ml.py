@@ -276,6 +276,15 @@ def test_codec_handles_negative_inner_products():
     assert G_int[0, 1] == -9
 
 
+@pytest.mark.parametrize("values", [[1, 2, 3, 4], [], [[1, 2, 3]]])
+def test_decode_gram_integer_rejects_a_table_that_is_no_triangle(values):
+    """4 values are no m(m+1)/2, and a Gram needs one row of them, m >= 1."""
+    codec = FixedPointCodec(scale=1.0, q=101, max_abs=3.0)
+    with pytest.raises(ValueError, match=r"m\(m\+1\)/2 inner products"):
+        decode_gram_integer(np.array(values, dtype=np.int64), codec)
+    assert decode_gram_integer(np.array([1, 100, 4]), codec).tolist() == [[1, -1], [-1, 4]]
+
+
 def test_codec_wraparound_guard():
     codec = FixedPointCodec(scale=10.0, q=101, max_abs=1.0)
     with pytest.raises(ValueError, match="wraparound"):

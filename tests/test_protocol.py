@@ -38,7 +38,7 @@ from pipret.protocol import (
     run_retrieval,
     virtual_data_from_databases,
 )
-from pipret.protocol import _empty_tally, _pir_run_structure, _run_layout
+from pipret.protocol import _empty_tally, _run_layout
 
 
 def _random_data(space, seed=0):
@@ -115,17 +115,16 @@ def _tuple_view_oracle(name, space, N, request, rng):
     if name in ("full_download", "leaky_index"):
         files = range(T) if name == "full_download" else request
         return [(tuple(((f, i),) for f in files for i in range(nu)),)] + [((),)] * (N - 1)
-    struct = _pir_run_structure(T, N)
     blocks = [[] for _ in range(N)]
     for theta in request:
         index = [rng.permutation(nu).tolist() for _ in range(T)]
-        swap = list(range(T))
-        swap[0], swap[theta] = theta, 0
-        for n, server_sums in enumerate(struct.sums):
-            real = [tuple(sorted((swap[f], slot) for f, slot in terms)) for terms in server_sums]
-            real.sort(key=lambda terms: (len(terms), [f for f, _ in terms]))
-            sums = (tuple((f, index[f][slot]) for f, slot in terms) for terms in real)
-            blocks[n].append(tuple(sums))
+        for n, sums in enumerate(_run_layout(T, N, theta).sums):
+            files, slots = sums.files.tolist(), sums.indices.tolist()
+            bounds = sums.starts.tolist() + [len(files)]
+            blocks[n].append(tuple(
+                tuple((f, index[f][slot]) for f, slot in zip(files[lo:hi], slots[lo:hi]))
+                for lo, hi in zip(bounds, bounds[1:])
+            ))
     return [tuple(b) for b in blocks]
 
 
@@ -287,21 +286,35 @@ def test_repeated_pir_unsupported_params():
 
 
 def test_repeated_pir_structure_counts():
-    for T, N in [(2, 2), (3, 2), (3, 3), (4, 2)]:
-        st = _pir_run_structure(T, N)
-        # desired pool exactly exhausted, undesired pools at N^(T-1)
-        assert st.used[0] == N**T
-        for k in range(1, T):
-            assert st.used[k] == N ** (T - 1)
-        for n in range(N):
-            assert len(st.sums[n]) == per_server_download(T, N)
-            # round t: C(T-1,t) (N-1)^(t-1) undesired sums produced
+    for T, N, theta in [
+        (T, N, theta) for T, N in [(1, 2), (2, 2), (3, 2), (3, 3), (4, 2), (3, 1)]
+        for theta in range(T)
+    ]:
+        layout = _run_layout(T, N, theta)
+        # each file's slots over all servers: theta's pool of N^T exactly
+        # exhausted, each slot read once, every other file's pool at N^(T-1)
+        for f in range(T):
+            slots = np.concatenate([sums.indices[sums.files == f] for sums in layout.sums])
+            if f == theta:
+                assert sorted(slots.tolist()) == list(range(N**T))
+            else:
+                assert sorted(set(slots.tolist())) == list(range(N ** (T - 1)))
+        assert sorted(layout.desired.tolist()) == list(range(N**T))
+        undesired, offset = [], 0  # the flat positions of undesired sums
+        for sums in layout.sums:
+            assert len(sums) == per_server_download(T, N)
+            supports = [{f for f, _ in terms} for terms in sums]
+            # round t: C(T-1,t) (N-1)^(t-1) fresh undesired t-sums
             for t in range(1, T + 1):
-                assert st.produced[n][t] == comb(T - 1, t) * (N - 1) ** (t - 1)
-        # every undesired (t-1)-sum is consumed once by each other server
-        for n in range(N):
-            for t in range(1, T):
-                assert st.consumed[n][t] == st.produced[n][t] * (N - 1)
+                made = sum(len(s) == t and theta not in s for s in supports)
+                assert made == comb(T - 1, t) * (N - 1) ** (t - 1)
+            undesired += [offset + p for p, s in enumerate(supports) if theta not in s]
+            offset += len(sums)
+        # every undesired sum is side information once at each other server;
+        # the N round-1 reads subtract the appended 0
+        want = Counter({p: N - 1 for p in undesired if N > 1})
+        want[offset] = N
+        assert Counter(layout.side.tolist()) == want
 
 
 @pytest.mark.parametrize(
@@ -382,7 +395,7 @@ def test_retrieve_pairs_matches_table():
     pairs = PairSet({PairIndex(1, 2), PairIndex(3, 3)})
     tr = retrieve_pairs(FullDownloadScheme(), pairs, db, 2, seed=1)
     for col, entries in enumerate(db.entries):
-        table = compute_table(Database(5, entries)).values
+        table = compute_table(Database(5, entries))
         for row, rank in enumerate(pairs.ranks(3)):
             assert tr.decoded[row, col] == table[rank]
 
@@ -401,12 +414,12 @@ def test_virtual_data_columns_are_the_instance_tables(q, K, L, nu):
     assert space == VirtualFileSpace(T=pair_count(K), q=q, nu=nu)
     assert data.shape == (pair_count(K), nu)
     for n, entries in enumerate(db.entries):
-        assert data[:, n].tolist() == compute_table(Database(q, entries)).values.tolist()
+        assert data[:, n].tolist() == compute_table(Database(q, entries)).tolist()
     # a single database is the one-column case
     single = Database(q, db.entries[0])
     space, data = virtual_data_from_databases(single)
     assert data.shape == (pair_count(K), 1) and space.nu == 1
-    assert data[:, 0].tolist() == compute_table(single).values.tolist()
+    assert data[:, 0].tolist() == compute_table(single).tolist()
 
 
 def test_pair_set_validation():
