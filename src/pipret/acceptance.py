@@ -8,6 +8,10 @@ tolerance.  ``run_criteria`` executes all of them and returns records;
 demands byte-identical serializations, then returns the report, an exit
 status and the per-criterion runtimes.
 
+``gram_task_report`` is criterion 9's Gram-versus-raw check for one
+learning task and also the body of ``ml-demo``'s report, so the CLI reports
+the check the criterion gates on.
+
 The criterion functions reference their modules through attribute lookup
 (``spectral.delta_distribution`` and so on), so a test can plant a fault by
 monkeypatching a module attribute and watch the right criterion fail.
@@ -347,6 +351,51 @@ def criterion_rate_brackets(master_seed: int) -> dict:
     return {"checks": checks, **details}
 
 
+def gram_task_report(task: str, X, y, G, d: int | None = None, box: float | None = None) -> dict:
+    """Fit ``task`` (svm, regression or pca) on the Gram matrix ``G`` of the
+    rows of ``X`` and check it against the raw-data route.
+
+    The raw routes are the SVM decision through w = (alpha y)^T X, least
+    squares on [X | 1], and the projections onto the top ``d`` eigenvectors
+    of X^T X (compared up to sign).  Returns the fields ``ml-demo`` reports
+    for the task, whose ``oracle_max_*_delta`` is the largest gap between the
+    two routes; criterion 9 gates on the same fields.
+    """
+    if task == "svm":
+        sol = gram_ml.svm_dual_train(G, y, box=box)
+        raw_dec = X @ ((sol.alpha * y) @ X) + sol.bias
+        gram_dec = gram_ml.svm_decision(sol, y, G)
+        return {
+            "alpha": sol.alpha.tolist(),
+            "bias": sol.bias,
+            "objective": sol.objective,
+            "iterations": sol.iterations,
+            "kkt_residual": gram_ml.svm_kkt_residual(G, y, sol, box=box),
+            "oracle_max_decision_delta": float(np.max(np.abs(raw_dec - gram_dec))),
+            "train_accuracy": float(np.mean(np.sign(gram_dec) == y)),
+        }
+    if task == "regression":
+        a = gram_ml.regression_fit(G, y, augment=True)
+        preds = gram_ml.regression_predict(a, G)
+        X_aug = np.hstack([X, np.ones((X.shape[0], 1))])
+        raw_preds = X_aug @ np.linalg.lstsq(X_aug, y, rcond=None)[0]
+        return {
+            "coefficients": a.tolist(),
+            "residual_norm": float(np.linalg.norm(gram_ml.augment_gram(G) @ a - y)),
+            "oracle_max_prediction_delta": float(np.max(np.abs(preds - raw_preds))),
+            "train_rmse": float(np.sqrt(np.mean((preds - y) ** 2))),
+        }
+    lam, U = gram_ml.pca_gram(G, d)
+    proj = gram_ml.pca_project(lam, U, G)
+    _, V_raw = np.linalg.eigh(X.T @ X)
+    proj_raw = V_raw[:, ::-1][:, :d].T @ X.T
+    return {
+        "eigenvalues": lam.tolist(),
+        "components": U.tolist(),
+        "oracle_max_projection_delta": float(np.max(np.abs(np.abs(proj) - np.abs(proj_raw)))),
+    }
+
+
 def criterion_gram_ml(master_seed: int) -> dict:
     checks = []
 
@@ -363,35 +412,19 @@ def criterion_gram_ml(master_seed: int) -> dict:
         [rng.normal(2.0, 0.6, size=(10, 2)), rng.normal(-2.0, 0.6, size=(10, 2))]
     )
     y20 = np.array([1.0] * 10 + [-1.0] * 10)
-    G20 = gram_ml.gram_from_raw(X20)
-    sol20 = gram_ml.svm_dual_train(G20, y20)
-    w = (sol20.alpha * y20) @ X20
-    raw_dec = X20 @ w + sol20.bias
-    gram_dec = gram_ml.svm_decision(sol20, y20, G20)
-    svm_delta = float(np.max(np.abs(raw_dec - gram_dec)))
-    kkt = gram_ml.svm_kkt_residual(G20, y20, sol20)
-    checks.append(("SVM Gram-only matches raw within 1e-6", svm_delta < 1e-6 and kkt < 1e-6))
-
-    Xr = rng.normal(size=(8, 3))
-    yr = rng.normal(size=8)
-    a = gram_ml.regression_fit(gram_ml.gram_from_raw(Xr), yr, augment=True)
-    gram_pred = gram_ml.regression_predict(a, Xr @ Xr.T)
-    Xaug = np.hstack([Xr, np.ones((8, 1))])
-    w_raw, *_ = np.linalg.lstsq(Xaug, yr, rcond=None)
-    raw_pred = Xaug @ w_raw
-    reg_delta = float(np.max(np.abs(gram_pred - raw_pred)))
-    checks.append(("regression Gram-only matches raw least squares within 1e-6", reg_delta < 1e-6))
-
+    svm = gram_task_report("svm", X20, y20, gram_ml.gram_from_raw(X20))
+    Xr, yr = rng.normal(size=(8, 3)), rng.normal(size=8)
+    reg = gram_task_report("regression", Xr, yr, gram_ml.gram_from_raw(Xr))
     Xp = rng.normal(size=(10, 3))
-    lam, U = gram_ml.pca_gram(gram_ml.gram_from_raw(Xp), 2)
-    proj_gram = gram_ml.pca_project(lam, U, Xp @ Xp.T)
-    w_raw, V_raw = np.linalg.eigh(Xp.T @ Xp)
-    dirs = V_raw[:, ::-1][:, :2]
-    proj_raw = dirs.T @ Xp.T
-    pca_delta = float(
-        np.max(np.abs(np.abs(proj_gram) - np.abs(proj_raw)))
-    )
-    checks.append(("PCA projections match covariance route within 1e-6", pca_delta < 1e-6))
+    pca = gram_task_report("pca", Xp, None, gram_ml.gram_from_raw(Xp), d=2)
+    svm_delta = svm["oracle_max_decision_delta"]
+    reg_delta = reg["oracle_max_prediction_delta"]
+    pca_delta = pca["oracle_max_projection_delta"]
+    checks += [
+        ("SVM Gram-only matches raw within 1e-6", svm_delta < 1e-6 and svm["kkt_residual"] < 1e-6),
+        ("regression Gram-only matches raw least squares within 1e-6", reg_delta < 1e-6),
+        ("PCA projections match covariance route within 1e-6", pca_delta < 1e-6),
+    ]
 
     codec = gram_ml.FixedPointCodec(scale=100.0, q=10**9 + 7, max_abs=4.0)
     Xc = rng.uniform(-3.0, 3.0, size=(4, 3))

@@ -322,7 +322,9 @@ def cmd_audit(params: dict, master_seed: int):
 def _read_csv_dataset(path: str, label: str | None):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv_module.reader(fh))
-    if len(rows) < 2:
+    # blank rows are skipped; the others keep their line numbers
+    samples = [(n, row) for n, row in enumerate(rows[1:], start=2) if any(t.strip() for t in row)]
+    if not samples:
         raise ValueError("dataset needs a header row and at least one sample")
     header = [h.strip() for h in rows[0]]
     label_idx = None
@@ -331,9 +333,7 @@ def _read_csv_dataset(path: str, label: str | None):
             raise ValueError(f"label column {label!r} not in header {header}")
         label_idx = header.index(label)
     feats, labels = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not tok.strip() for tok in row):
-            continue
+    for lineno, row in samples:
         try:
             vals = [float(tok) for tok in row]
         except ValueError as exc:
@@ -350,6 +350,10 @@ def _read_csv_dataset(path: str, label: str | None):
 
 
 def cmd_ml_demo(params: dict, master_seed: int):
+    """Learn ``task`` from the Gram matrix of a CSV dataset, built privately
+    (``--private``, checked bit for bit against the direct Gram) or from the
+    samples.  The model and its raw-data check, the ``oracle_max_*_delta``
+    that criterion 9 gates on, are ``acceptance.gram_task_report``'s."""
     task, label, private = params["task"], params["label"], params["private"]
     if task in ("svm", "regression") and label is None:
         raise ValueError(f"task {task!r} needs --label")
@@ -377,52 +381,8 @@ def cmd_ml_demo(params: dict, master_seed: int):
         G = gram_ml.gram_from_raw(X)
         X_eff = X
 
-    if task == "svm":
-        box = params["box"]
-        sol = gram_ml.svm_dual_train(G, y, box=box)
-        w = (sol.alpha * y) @ X_eff
-        raw_dec = X_eff @ w + sol.bias
-        gram_dec = gram_ml.svm_decision(sol, y, G)
-        result.update(
-            {
-                "alpha": sol.alpha.tolist(),
-                "bias": sol.bias,
-                "objective": sol.objective,
-                "iterations": sol.iterations,
-                "kkt_residual": gram_ml.svm_kkt_residual(G, y, sol, box=box),
-                "oracle_max_decision_delta": float(np.max(np.abs(raw_dec - gram_dec))),
-                "train_accuracy": float(np.mean(np.sign(gram_dec) == y)),
-            }
-        )
-    elif task == "regression":
-        a = gram_ml.regression_fit(G, y, augment=True)
-        preds = gram_ml.regression_predict(a, G)
-        X_aug = np.hstack([X_eff, np.ones((X_eff.shape[0], 1))])
-        w_raw, *_ = np.linalg.lstsq(X_aug, y, rcond=None)
-        raw_preds = X_aug @ w_raw
-        result.update(
-            {
-                "coefficients": a.tolist(),
-                "residual_norm": float(np.linalg.norm(gram_ml.augment_gram(G) @ a - y)),
-                "oracle_max_prediction_delta": float(np.max(np.abs(preds - raw_preds))),
-                "train_rmse": float(np.sqrt(np.mean((preds - y) ** 2))),
-            }
-        )
-    else:
-        d = params["d"] if params["d"] is not None else min(2, X.shape[0])
-        lam, U = gram_ml.pca_gram(G, d)
-        proj = gram_ml.pca_project(lam, U, G)
-        w_raw, V_raw = np.linalg.eigh(X_eff.T @ X_eff)
-        dirs = V_raw[:, ::-1][:, :d]
-        proj_raw = dirs.T @ X_eff.T
-        delta = float(np.max(np.abs(np.abs(proj) - np.abs(proj_raw))))
-        result.update(
-            {
-                "eigenvalues": lam.tolist(),
-                "components": U.tolist(),
-                "oracle_max_projection_delta": delta,
-            }
-        )
+    d = params["d"] if params["d"] is not None else min(2, X.shape[0])
+    result.update(acceptance.gram_task_report(task, X_eff, y, G, d=d, box=params["box"]))
     return result, EXIT_OK
 
 

@@ -189,15 +189,9 @@ def svm_kkt_residual(gram, labels, sol: DualSolution, box: float | None = None) 
     f = svm_decision(sol, y, G)
     yf = y * f
     C = np.inf if box is None else float(box)
-    res = 0.0
-    for i in range(len(y)):
-        if sol.alpha[i] <= SUPPORT_TOL:
-            res = max(res, 1.0 - yf[i])
-        elif sol.alpha[i] >= C - SUPPORT_TOL:
-            res = max(res, yf[i] - 1.0)
-        else:
-            res = max(res, abs(yf[i] - 1.0))
-    return float(max(res, 0.0))
+    on_support = np.where(sol.alpha >= C - SUPPORT_TOL, yf - 1.0, np.abs(yf - 1.0))
+    res = np.where(sol.alpha <= SUPPORT_TOL, 1.0 - yf, on_support)
+    return float(np.max(res, initial=0.0))
 
 
 # --- regression ----------------------------------------------------------------

@@ -59,6 +59,8 @@ from .fields import (
 )
 
 MIN_AUDIT_SAMPLES = 10_000
+# family-wise significance of a sampled audit, split over its tests (Bonferroni)
+AUDIT_ALPHA = 1e-3
 # permutation entries (samples * P * T * nu) held per chunk of a batched
 # tally, in the smallest dtype that holds nu - 1 (1 MiB at nu <= 256), or
 # one sample's P * T * nu entries where that is more
@@ -261,10 +263,7 @@ class RetrievalScheme(abc.ABC):
         tally = _empty_tally(n_servers, space.T)
         if self.deterministic_query:
             first = self.query_statistics(space, n_servers, request, rng)
-            if self.query_statistics(space, n_servers, request, rng) != first:
-                raise RuntimeError(
-                    f"{self.name} declares deterministic queries but two draws differ"
-                )
+            _check_same_draws(self, first, self.query_statistics(space, n_servers, request, rng))
             draws, weight = [first], samples
         else:
             draws = (
@@ -278,6 +277,12 @@ class RetrievalScheme(abc.ABC):
                 for f in range(space.T):
                     tally[("indexes", n, f)][file_keys[f]] += weight
         return {ch: _counter_arrays(counter) for ch, counter in tally.items()}
+
+
+def _check_same_draws(scheme: RetrievalScheme, first, second) -> None:
+    """Two draws of a scheme that declares deterministic queries must agree."""
+    if first != second:
+        raise RuntimeError(f"{scheme.name} declares deterministic queries but two draws differ")
 
 
 def _empty_tally(n_servers: int, T: int) -> dict:
@@ -822,18 +827,18 @@ def audit_privacy(
     mode: str = "exact",
     samples: int | None = None,
     seed: int = 0,
-    alpha: float = 1e-3,
 ) -> PrivacyAuditReport:
     """Compare per-server query distributions across every request set.
 
-    ``exact`` mode requires a scheme with deterministic queries and reports
-    the worst total-variation distance between the (point-mass) query
-    distributions, which must be zero.  ``sampled`` mode tallies the
-    canonical per-server statistic of ``samples`` queries per request set
-    (``RetrievalScheme.tally_statistics``: per channel, the distinct
-    statistics as a sorted key array and their int64 counts), and runs
-    pairwise two-sample chi-square tests per canonical channel on those
-    arrays; the audit fails when any p-value drops below alpha / n_tests
+    ``exact`` mode requires a scheme with deterministic queries, draws each
+    request set's queries with two generators (``RuntimeError`` if they
+    differ), and reports the worst total-variation distance between the
+    (point-mass) query distributions, which must be zero.  ``sampled`` mode
+    tallies the canonical per-server statistic of ``samples`` queries per
+    request set (``RetrievalScheme.tally_statistics``: per channel, the
+    distinct statistics as a sorted key array and their int64 counts), and
+    runs pairwise two-sample chi-square tests per canonical channel on those
+    arrays; the audit fails when any p-value drops below AUDIT_ALPHA / n_tests
     (Bonferroni) or the per-server download counts differ across request
     sets.
     """
@@ -842,17 +847,17 @@ def audit_privacy(
     request_sets = list(itertools.combinations(range(space.T), P))
 
     if mode == "exact":
-        return _audit_exact(scheme, space, n_servers, P, request_sets, alpha)
+        if samples is not None:
+            raise ValueError("samples applies to sampled mode only")
+        return _audit_exact(scheme, space, n_servers, P, request_sets)
     if mode == "sampled":
         if samples is None or samples < MIN_AUDIT_SAMPLES:
             raise ValueError(f"sampled mode requires samples >= {MIN_AUDIT_SAMPLES}")
-        return _audit_sampled(
-            scheme, space, n_servers, P, request_sets, samples, seed, alpha
-        )
+        return _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed)
     raise ValueError(f"unknown audit mode {mode!r}")
 
 
-def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
+def _audit_exact(scheme, space, n_servers, P, request_sets):
     if not scheme.deterministic_query:
         raise ValueError(
             f"exact audit requires deterministic queries; {scheme.name} is randomized"
@@ -860,6 +865,8 @@ def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
     queries, counts = [], []
     for req in request_sets:
         plan = scheme.query(space, n_servers, req, np.random.default_rng(0))
+        again = scheme.query(space, n_servers, req, np.random.default_rng(1))
+        _check_same_draws(scheme, plan.server_queries, again.server_queries)
         queries.append(tuple(plan.server_queries))
         counts.append(_server_downloads(plan))
     # equality is transitive, so the first differing pair involves set 0
@@ -891,7 +898,7 @@ def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
         max_tv_distance=max_tv,
         tests=[],
         n_tests=0,
-        alpha=alpha,
+        alpha=AUDIT_ALPHA,
         threshold=None,
         samples=None,
         min_pvalue=None,
@@ -899,7 +906,7 @@ def _audit_exact(scheme, space, n_servers, P, request_sets, alpha):
     )
 
 
-def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alpha):
+def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed):
     # per request set: one (keys, counts) tally per channel; channels are the
     # structure of each server's query plus each (server, file) index-usage
     # pattern
@@ -925,7 +932,7 @@ def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alp
                 }
             )
     n_tests = len(tests)
-    threshold = alpha / max(n_tests, 1)
+    threshold = AUDIT_ALPHA / max(n_tests, 1)
     worst = min(tests, key=lambda t: t["pvalue"], default=None)
     min_p = 1.0 if worst is None else worst["pvalue"]
     passed = count_symmetric and min_p >= threshold
@@ -941,7 +948,7 @@ def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed, alp
         max_tv_distance=None,
         tests=tests,
         n_tests=n_tests,
-        alpha=alpha,
+        alpha=AUDIT_ALPHA,
         threshold=threshold,
         samples=samples,
         min_pvalue=min_p,

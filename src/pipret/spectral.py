@@ -71,7 +71,6 @@ import numpy as np
 
 from .fields import (
     Database,
-    PairIndex,
     _check_prime_modulus,
     compute_table,
     pair_count,

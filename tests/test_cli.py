@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipret import acceptance, bounds, spectral
+from pipret import acceptance, bounds, gram_ml, spectral
 from pipret.cli import (
     EXIT_ACCEPTANCE,
     EXIT_IO,
@@ -242,6 +242,17 @@ def test_audit_command_exact(capsys):
     assert res["worst_test"] is None
 
 
+def test_audit_command_exact_rejects_samples(capsys):
+    code, out, err = _run(
+        ["audit", "--scheme", "full_download", "--mode", "exact", "--samples", "5",
+         "--T", "3", "--N", "2", "--P", "1"],
+        capsys,
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: samples applies to sampled mode only\n"
+
+
 def test_audit_command_names_the_leak(capsys):
     code, out, _ = _run(
         ["audit", "--scheme", "leaky_index", "--mode", "sampled", "--samples", "10000",
@@ -322,6 +333,19 @@ def test_ml_demo_rejects_a_zero_max_abs(tmp_path, capsys):
     assert err == "error: scale and max_abs must be positive\n"
 
 
+@pytest.mark.parametrize("private", [[], ["--private"]], ids=["direct", "private"])
+def test_ml_demo_rejects_a_dataset_of_blank_rows(private, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("f1,f2,label\n\n , ,\n\n")
+    code, out, err = _run(
+        ["ml-demo", "--data", str(data), "--label", "label", "--task", "svm", *private],
+        capsys,
+    )
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: dataset needs a header row and at least one sample\n"
+
+
 def test_ml_demo_missing_file_is_io_error(tmp_path, capsys):
     code, _, err = _run(
         ["ml-demo", "--data", str(tmp_path / "nope.csv"), "--label", "y",
@@ -352,6 +376,22 @@ def test_ml_demo_pca_direct(tmp_path, capsys):
     res = json.loads(out)["results"]
     assert len(res["eigenvalues"]) == 2
     assert res["oracle_max_projection_delta"] < 1e-6
+
+
+def test_ml_demo_and_criterion_9_share_the_raw_data_check(tmp_path, capsys, monkeypatch):
+    # a fault planted in the Gram-side projection shows in both reports
+    real_project = gram_ml.pca_project
+    monkeypatch.setattr(gram_ml, "pca_project", lambda *args: 1.01 * real_project(*args))
+    detail = acceptance.criterion_gram_ml(acceptance.MASTER_SEED_DEFAULT)
+    failed = [name for name, ok in detail["checks"] if not ok]
+    assert failed == ["PCA projections match covariance route within 1e-6"]
+    assert detail["pca_delta"] > 1e-6
+
+    data = tmp_path / "data.csv"
+    _write_dataset(data)
+    code, out, _ = _run(["ml-demo", "--data", str(data), "--task", "pca", "--d", "2"], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["oracle_max_projection_delta"] > 1e-6
 
 
 def test_config_file_merge_and_flag_override(tmp_path, capsys):

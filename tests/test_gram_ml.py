@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from pipret.fields import compute_table, pair_count
 from pipret.protocol import VirtualFileSpace
 from pipret.gram_ml import (
+    SUPPORT_TOL,
+    DualSolution,
     FixedPointCodec,
     augment_gram,
     decode_gram,
@@ -111,6 +113,28 @@ def test_svm_kkt_certificate_20_points():
             assert y[i] * f[i] >= 1 - 1e-6
         else:
             assert abs(y[i] * f[i] - 1) <= 1e-6
+
+
+@pytest.mark.parametrize("box", [None, 2.0])
+def test_svm_kkt_residual_equals_the_per_sample_loop(box):
+    # multipliers at zero, inside the box and (with a box) at its bound
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(12, 3))
+    y = np.where(rng.random(12) < 0.5, 1.0, -1.0)
+    G = gram_from_raw(X)
+    alpha = rng.choice([0.0, 0.7, 2.0 if box else 1.3], size=12)
+    sol = DualSolution(alpha=alpha, bias=0.1, objective=0.0, iterations=0)
+    yf = y * svm_decision(sol, y, G)
+    C = np.inf if box is None else box
+    res = 0.0
+    for i in range(12):
+        if alpha[i] <= SUPPORT_TOL:
+            res = max(res, 1.0 - yf[i])
+        elif alpha[i] >= C - SUPPORT_TOL:
+            res = max(res, yf[i] - 1.0)
+        else:
+            res = max(res, abs(yf[i] - 1.0))
+    assert svm_kkt_residual(G, y, sol, box=box) == float(max(res, 0.0))
 
 
 def test_svm_box_handles_inseparable_data():

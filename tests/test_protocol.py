@@ -508,6 +508,30 @@ def test_exact_audit_rejects_randomized_scheme():
         audit_privacy(RepeatedPirScheme(), space, 2, 1, mode="exact")
 
 
+class _CoinFlipLeak(LeakyIndexScheme):
+    """Declares deterministic queries, but downloads everything on one draw
+    in two and names the requested files on the others."""
+
+    def query(self, space, n_servers, request, rng=None):
+        if rng.integers(2):
+            return FullDownloadScheme().query(space, n_servers, request)
+        return super().query(space, n_servers, request, rng)
+
+
+@pytest.mark.parametrize("mode,samples", [("exact", None), ("sampled", 10_000)])
+def test_audits_reject_a_deterministic_scheme_whose_draws_differ(mode, samples):
+    space = VirtualFileSpace(T=3, q=5, nu=2)
+    message = "leaky_index declares deterministic queries but two draws differ"
+    with pytest.raises(RuntimeError, match=message):
+        audit_privacy(_CoinFlipLeak(), space, 2, 1, mode=mode, samples=samples, seed=0)
+
+
+def test_exact_audit_rejects_samples():
+    space = VirtualFileSpace(T=3, q=5, nu=1)
+    with pytest.raises(ValueError, match="samples applies to sampled mode only"):
+        audit_privacy(FullDownloadScheme(), space, 2, 1, mode="exact", samples=10_000)
+
+
 def test_sampled_audit_passes_repeated_pir():
     space = VirtualFileSpace(T=2, q=5, nu=4)
     rep = audit_privacy(
