@@ -31,9 +31,10 @@ Three schemes are provided:
 * ``leaky_index``       - negative control that sends the request in the
                           clear; privacy audits must flag it.
 
-The module needs numpy alone.  The sampled audit's chi-square p-value is
-``scipy.special.chdtrc``, the function ``scipy.stats.chi2.sf`` calls, and
-scipy.special is imported there, at its one point of use.
+The module needs numpy and ``math`` alone.  The sampled audit's chi-square
+p-value is ``_chi2_sf``: at an integer number k of degrees of freedom the
+survival function is a finite sum of k/2 Poisson-like terms (plus an erfc
+for odd k), which it adds in log space with a stated relative error bound.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, erfc, exp, lgamma, log, sqrt
 
 import numpy as np
 
@@ -799,6 +800,11 @@ class PrivacyAuditReport:
     pvalue): the sampled test with the smallest p-value, or, for an exact
     audit that fails, the first server and request-set pair whose queries
     differ (pvalue None).  It is None for an exact audit that passes.
+
+    ``informative_tests`` counts the sampled tests with at least one degree
+    of freedom (None in exact mode).  A test whose categories all pool into
+    one has dof 0 and p-value 1.0 and can detect nothing, so a sampled audit
+    with 0 informative tests passes without having tested anything.
     """
 
     scheme: str
@@ -812,6 +818,7 @@ class PrivacyAuditReport:
     max_tv_distance: float | None
     tests: list
     n_tests: int
+    informative_tests: int | None
     alpha: float
     threshold: float | None
     samples: int | None
@@ -898,6 +905,7 @@ def _audit_exact(scheme, space, n_servers, P, request_sets):
         max_tv_distance=max_tv,
         tests=[],
         n_tests=0,
+        informative_tests=None,
         alpha=AUDIT_ALPHA,
         threshold=None,
         samples=None,
@@ -948,6 +956,7 @@ def _audit_sampled(scheme, space, n_servers, P, request_sets, samples, seed):
         max_tv_distance=None,
         tests=tests,
         n_tests=n_tests,
+        informative_tests=sum(1 for t in tests if t["dof"] >= 1),
         alpha=AUDIT_ALPHA,
         threshold=threshold,
         samples=samples,
@@ -972,7 +981,14 @@ def _channel_label(ch) -> str:
 def _two_sample_chisquare(tally1: tuple, tally2: tuple, min_bucket: int = 10):
     """Two-sample chi-square with equal sample sizes between two channel
     tallies, each a sorted (keys, counts) pair; categories whose combined
-    count falls below ``min_bucket`` are pooled."""
+    count falls below ``min_bucket`` are pooled.
+
+    Returns (stat, dof, pvalue) with stat = sum (a - b)**2 / (a + b) over the
+    kept categories, dof their number less one, and pvalue the chi-square
+    survival function ``_chi2_sf(dof, stat)``: e^-y times a sum of dof/2
+    terms y^h / Gamma(h + 1), y = stat/2 (plus erfc(sqrt(y)) at odd dof),
+    added in log space, within a relative 2**-44 + 2**-50 * (y +
+    (dof/2)*|log y| + lgamma(dof/2 + 1)) of the true value."""
     (keys1, counts1), (keys2, counts2) = tally1, tally2
     sides = np.zeros((len(keys1) + len(keys2), 2), dtype=np.int64)
     sides[: len(keys1), 0] = counts1
@@ -994,10 +1010,57 @@ def _two_sample_chisquare(tally1: tuple, tally2: tuple, min_bucket: int = 10):
         terms = (a - b) ** 2 / (a + b)
     stat = float(np.nansum(terms))
     dof = len(a) - 1
-    from scipy.special import chdtrc  # the kernel of scipy.stats.chi2.sf
+    return stat, dof, _chi2_sf(dof, stat)
 
-    pvalue = float(chdtrc(dof, stat))
-    return stat, dof, pvalue
+
+# lgamma(i/2 + 1) for i = 0, 1, 2, ...: log j! at i = 2j and log Gamma(j + 3/2)
+# at i = 2j + 1.  Read-only; _chi2_sf replaces it by a longer copy when a
+# larger k needs more entries, and slices it per call
+_LGAMMA_HALVES = np.zeros(0)
+_LGAMMA_HALVES.flags.writeable = False
+
+
+def _chi2_sf(k: int, x: float) -> float:
+    """Survival function of the chi-square law with an integer number k >= 1
+    of degrees of freedom at x, Q(k/2, x/2) (Abramowitz and Stegun,
+    *Handbook of Mathematical Functions*, 26.4.4-26.4.5).  With y = x/2:
+
+        even k:  e^-y * sum_{j < k/2} y^j / j!
+        odd k:   erfc(sqrt(y)) + e^-y * sum_{j < (k-1)/2} y^(j+1/2) / Gamma(j+3/2)
+
+    Every term is positive.  The sum is taken in log space: each term's
+    logarithm h*log(y) - lgamma(h + 1) - y (h = j or j + 1/2), shifted by the
+    largest, exponentiated and summed by numpy, so nothing overflows and
+    nothing underflows before the result does.  Returns 1.0 at x <= 0.
+
+    Error bound: wherever the true value is at least 2.2e-308 (the smallest
+    normal double), the relative error is at most
+
+        2**-44 + 2**-50 * (y + (k/2)*|log y| + lgamma(k/2 + 1)).
+
+    The second part covers a term's logarithm: its three parts are each at
+    most that large and each rounded a few times, and exp turns the absolute
+    error of a logarithm into relative error of the term.  The first covers
+    exp, log, erfc and numpy's pairwise sum of at most k/2 positive terms.
+    Below 2.2e-308 the result is a subnormal or 0.0.
+    """
+    y = x / 2
+    if y <= 0:
+        return 1.0
+    global _LGAMMA_HALVES
+    table = _LGAMMA_HALVES
+    if len(table) < k - 1:
+        grown = [lgamma(i / 2 + 1) for i in range(len(table), k - 1)]
+        table = np.concatenate([table, grown])
+        table.flags.writeable = False
+        _LGAMMA_HALVES = table
+    head = erfc(sqrt(y)) if k % 2 else 0.0
+    if k == 1:
+        return head
+    h = np.arange(k % 2, k - 1, 2) / 2
+    logs = h * log(y) - table[k % 2 : k - 1 : 2] - y
+    top = logs.max()
+    return head + exp(top + log(np.exp(logs - top).sum()))
 
 
 __all__ = [

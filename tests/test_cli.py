@@ -1,4 +1,5 @@
 import argparse
+import ast
 import hashlib
 import json
 import math
@@ -276,6 +277,7 @@ def test_audit_command_sampled_has_pairwise_tests(capsys):
     res = json.loads(out)["results"]
     assert res["passed"]
     assert res["n_tests"] == len(res["tests"]) > 0
+    assert 0 < res["informative_tests"] <= res["n_tests"]
     assert {"channel", "set1", "set2", "chi2", "dof", "pvalue"} <= set(res["tests"][0])
 
 
@@ -751,15 +753,17 @@ seen["criterion 6"] = heavy()
 seen["audit"] = run("audit", "--scheme", "repeated_pir", "--mode", "sampled",
                     "--samples", "10000", "--T", "2", "--q", "5", "--N", "2", "--P", "1")
 seen["capacity"] = run("capacity", "--K", "3", "--P", "1", "--N", "2", "--verbose")
+assert acceptance.reproduce_all()[1] == 0
+seen["reproduce"] = heavy()
 print(json.dumps(seen))
 """
 
 
-def test_scipy_and_mpmath_load_only_where_they_are_used(tmp_path):
+def test_no_command_loads_scipy_or_mpmath(tmp_path):
     """One fresh process: importing pipret loads neither scipy nor mpmath,
-    nor do criterion 1's Fourier transform and criterion 6's rate checks;
-    the audit p-value loads scipy.special alone, and the verbose capacity
-    grid, checked by integers, loads no mpmath."""
+    nor does any command run after it: the sampled audit with its p-values,
+    the verbose capacity grid (checked by integers), criterion 1's Fourier
+    transform, criterion 6's rate checks and a full acceptance run."""
     data = tmp_path / "data.csv"
     _write_dataset(data)
     env = dict(os.environ)
@@ -772,9 +776,26 @@ def test_scipy_and_mpmath_load_only_where_they_are_used(tmp_path):
     )
     assert done.returncode == 0, done.stderr[-2000:]
     seen = json.loads(done.stdout)
-    for step in ("import", "spectrum", "converge", "simulate", "ml-demo", "criterion 1",
-                 "criterion 6"):
-        assert seen[step] == [], step
-    assert "scipy.special" in seen["audit"]
-    assert not any(m.startswith(("scipy.stats", "mpmath")) for m in seen["audit"])
-    assert not any(m.startswith("mpmath") for m in seen["capacity"])
+    assert list(seen) == ["import", "spectrum", "converge", "simulate", "ml-demo",
+                          "criterion 1", "criterion 6", "audit", "capacity", "reproduce"]
+    for step, modules in seen.items():
+        assert modules == [], step
+
+
+def test_runtime_dependencies_match_imports():
+    """The third-party modules that src/pipret imports, at module level or
+    inside a function, are exactly pyproject.toml's runtime dependencies."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    imported = set()
+    for path in (root / "src" / "pipret").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"pipret"}
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in declared}
+    assert third_party == names == {"numpy", "mpmath"}

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,13 +10,14 @@ from math import comb
 from pathlib import Path
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipret import protocol
+from pipret import acceptance, protocol
 
 from pipret.bounds import BoundQuery, inverse_rate_converse, single_message_inverse_rate
 from pipret.fields import Database, PairIndex, compute_table, pair_count, random_database
@@ -551,6 +553,27 @@ def test_sampled_audit_flags_leaky_scheme():
     assert not rep.passed
 
 
+def test_sampled_audit_counts_its_informative_tests():
+    """At T = 3, N = 3 (nu = 27) every category of every test pools into one,
+    so the audit passes on 36 tests of dof 0 and reports 0 informative tests;
+    criterion 7's audits have informative tests, and exact audits None."""
+    vacuous = audit_privacy(
+        RepeatedPirScheme(), VirtualFileSpace(T=3, q=3, nu=27), 3, 1,
+        mode="sampled", samples=30_000, seed=0,
+    )
+    assert vacuous.passed
+    assert vacuous.n_tests == 36
+    assert vacuous.informative_tests == 0
+    for P in (1, 2):
+        rep = audit_privacy(
+            RepeatedPirScheme(), VirtualFileSpace(T=3, q=2, nu=8), 2, P,
+            mode="sampled", samples=100_000, seed=acceptance.MASTER_SEED_DEFAULT,
+        )
+        assert 0 < rep.informative_tests == sum(t["dof"] >= 1 for t in rep.tests)
+    exact = audit_privacy(FullDownloadScheme(), VirtualFileSpace(T=3, q=5, nu=2), 2, 2)
+    assert exact.informative_tests is None
+
+
 def test_sampled_audit_requires_enough_samples():
     space = VirtualFileSpace(T=2, q=5, nu=4)
     with pytest.raises(ValueError, match="samples"):
@@ -789,6 +812,27 @@ def _reference_chisquare(c1: Counter, c2: Counter, min_bucket: int = 10):
     return stat, dof, pvalue
 
 
+_DBL_MIN = float(np.finfo(float).tiny)
+
+
+def _chi2_sf_bound(k: int, x: float) -> float:
+    """``protocol._chi2_sf``'s stated relative error bound at k, x > 0."""
+    y = x / 2
+    return 2.0**-44 + 2.0**-50 * (y + k / 2 * abs(math.log(y)) + math.lgamma(k / 2 + 1))
+
+
+def _assert_pvalue_within_bound(got, ref, k, x):
+    """``got`` lies within ``_chi2_sf``'s stated bound of the reference
+    p-value ``ref`` of a chi-square statistic x with k degrees of freedom;
+    where ``ref`` is below the smallest normal double, ``got`` <= 1e-300."""
+    if x <= 0:
+        assert got == ref == 1.0, (k, x, got, ref)
+    elif ref >= _DBL_MIN:
+        assert abs(got - ref) <= _chi2_sf_bound(k, x) * ref, (k, x, got, ref)
+    else:
+        assert got <= 1e-300, (k, x, got, ref)
+
+
 def _channel_arrays(counter: Counter, words: int, as_rows: bool) -> tuple:
     """A Counter of word tuples as a channel tally: keys as uint64 rows or
     as a 1-D object array of the tuples, in ascending order."""
@@ -820,15 +864,37 @@ def test_array_chisquare_matches_counter_reference(data):
     min_bucket = data.draw(st.sampled_from([1, 10, 50]), label="min_bucket")
     tallies = [_channel_arrays(c, words, as_rows) for c in sides]
     got = protocol._two_sample_chisquare(*tallies, min_bucket=min_bucket)
-    assert got == _reference_chisquare(*sides, min_bucket=min_bucket)
+    ref = _reference_chisquare(*sides, min_bucket=min_bucket)
+    assert got[:2] == ref[:2]
     assert type(got[1]) is int
+    _assert_pvalue_within_bound(got[2], ref[2], got[1], got[0])
 
 
-def test_chisquare_pvalue_equals_chi2_sf_up_to_the_audit_dofs():
-    """The P=2 audit reaches dof 2473 and the leaky control a p-value that
-    underflows to 0.0; the p-value must equal scipy.stats' chi2.sf there,
-    bit for bit."""
+def _chi2_oracle(k, x):
+    """Q(k/2, x/2), the chi-square survival function, at 60 digits."""
+    with mp.workdps(60):
+        return mp.gammainc(mp.mpf(k) / 2, mp.mpf(x) / 2, mp.inf, regularized=True)
+
+
+def test_chisquare_pvalue_is_within_its_bound_of_an_mpmath_oracle():
+    """The p-value is within _chi2_sf's stated relative bound of an mpmath
+    oracle and of scipy.stats' chi2.sf, for every k in 1..60 and sampled k up
+    to 5,000 on x from 0 to past the point where the value underflows, and on
+    audit tests up to dof 5000 (the P=2 audit reaches 2473, the leaky control
+    a p-value that underflows to 0.0)."""
     rng = np.random.default_rng(20)
+    sampled = rng.choice(np.arange(61, 5000), size=12, replace=False)
+    for k in [*range(1, 61), *sorted(sampled.tolist()), 2473, 5000]:
+        # Q(k/2, x/2) < 1e-308 beyond x = 3k + 1800 for every k <= 5,000
+        xs = [*np.linspace(0, 3 * k + 1800, 24), 1e-300, 1e-6, *k * np.exp(rng.uniform(-3, 1, 3))]
+        oracles = []
+        for x in map(float, xs):
+            got = protocol._chi2_sf(k, x)
+            oracles.append(_chi2_oracle(k, x))
+            _assert_pvalue_within_bound(got, oracles[-1], k, x)
+            _assert_pvalue_within_bound(got, float(scipy.stats.chi2.sf(x, k)), k, x)
+        assert min(oracles) < _DBL_MIN and max(oracles) == 1, k
+
     pvalues = []
     for dof in (1, 2, 29, 30, 100, 1000, 2473, 5000):
         keys = np.arange(dof + 1, dtype=np.uint64).reshape(-1, 1)
@@ -841,7 +907,8 @@ def test_chisquare_pvalue_equals_chi2_sf_up_to_the_audit_dofs():
             for b in (b, 10 * b):
                 stat, got_dof, pvalue = protocol._two_sample_chisquare((keys, a), (keys, b))
                 assert got_dof == dof
-                assert pvalue == float(scipy.stats.chi2.sf(stat, dof))
+                _assert_pvalue_within_bound(pvalue, _chi2_oracle(dof, stat), dof, stat)
+                _assert_pvalue_within_bound(pvalue, float(scipy.stats.chi2.sf(stat, dof)), dof, stat)
                 pvalues.append(pvalue)
     assert 0.0 in pvalues
     assert any(0.0 < p < 1e-12 for p in pvalues)
@@ -872,10 +939,16 @@ def test_sampled_audit_matches_the_reference_pipeline(P, seed):
             ref = audit_privacy(
                 _ReferencePir(), space, 2, P, mode="sampled", samples=samples, seed=seed
             )
+    # everything but the p-values is exact; those are within _chi2_sf's bound
+    # of scipy.stats' chi2.sf, which the reference calls
     assert fast.n_tests == ref.n_tests > 0
-    assert fast.tests == ref.tests
-    assert fast.min_pvalue == ref.min_pvalue
-    assert fast.worst_test == ref.worst_test
+    for got, want in zip(fast.tests, ref.tests, strict=True):
+        assert {**got, "pvalue": None} == {**want, "pvalue": None}
+        _assert_pvalue_within_bound(got["pvalue"], want["pvalue"], got["dof"], got["chi2"])
+    worst = min(fast.tests, key=lambda t: t["pvalue"])
+    _assert_pvalue_within_bound(fast.min_pvalue, ref.min_pvalue, worst["dof"], worst["chi2"])
+    assert fast.passed == ref.passed
+    assert {**fast.worst_test, "pvalue": None} == {**ref.worst_test, "pvalue": None}
 
 
 def test_sampled_audit_json_is_independent_of_hash_seed():
