@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__, acceptance, bounds, gram_ml, protocol, spectral
-from .fields import Database, pair_count
+from .fields import Database, compute_table, pair_count
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -252,34 +252,41 @@ def cmd_simulate(params: dict, master_seed: int):
     q, K, N, P, L = params["q"], params["K"], params["N"], params["P"], params["L"]
     if K is not None and params["T"] is not None:
         raise ValueError("simulate takes --K or --T, not both")
-    if K is not None:
-        T = pair_count(K)
-    elif params["T"] is not None:
-        T = params["T"]
-    else:
+    if K is None and params["T"] is None:
         raise ValueError("simulate needs --K or --T")
     if params["seeds"] < 1:
         raise ValueError("simulate --seeds must be at least 1")
+    if K is not None and K < 1:
+        raise ValueError("simulate --K must be at least 1")
+    if L < 1:
+        raise ValueError("simulate --L must be at least 1")
+    T = pair_count(K) if K is not None else params["T"]
     scheme, space = _scheme_and_space(params, T)
     scheme.check_supports(space, N)
     if not 1 <= P <= T:
         raise ValueError(f"P must lie in [1, T={T}]")
 
-    def one_run(i):
+    # each run draws its request, then its database or data, from its own
+    # generator; the runs' databases then stack into one (seeds * nu, K, L)
+    # database whose one table holds every run's nu rows in turn
+    size = (space.nu, K, L) if K is not None else (T, space.nu)
+    requests, draws = [], []
+    for i in range(params["seeds"]):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[master_seed, i]))
-        request = tuple(sorted(rng.choice(T, size=P, replace=False).tolist()))
-        if K is not None:
-            db = Database(q, rng.integers(0, q, size=(space.nu, K, L), dtype=np.int64))
-            _, data = protocol.virtual_data_from_databases(db)
-        else:
-            data = rng.integers(0, q, size=(T, space.nu))
-        return protocol.run_retrieval(
+        requests.append(tuple(sorted(rng.choice(T, size=P, replace=False).tolist())))
+        draws.append(rng.integers(0, q, size=size, dtype=np.int64))
+    if K is not None:
+        tables = compute_table(Database(q, np.concatenate(draws)))
+        draws = tables.reshape(len(draws), space.nu, T).swapaxes(1, 2)
+    # one run after another: runs hold the GIL, so threads would only add
+    # switching between them
+    transcripts = [
+        protocol.run_retrieval(
             scheme, space, N, request, data,
             seed=np.random.SeedSequence(entropy=[master_seed, i, 1]),
         )
-
-    # no pool: runs hold the GIL, so threads would only add switching between them
-    transcripts = [one_run(i) for i in range(params["seeds"])]
+        for i, (request, data) in enumerate(zip(requests, draws))
+    ]
     summary = protocol.rate_summary(transcripts, N)
     results = {
         "rate": summary,
@@ -312,6 +319,13 @@ def cmd_audit(params: dict, master_seed: int):
         scheme, space, params["N"], params["P"],
         mode=params["mode"], samples=params["samples"], seed=master_seed,
     )
+    if report.informative_tests == 0:
+        print(
+            f"note: 0 of the sampled audit's {report.n_tests} tests have a degree of "
+            "freedom, so it passed without testing anything; only an exact orbit "
+            "audit (ROADMAP item 5) can check this point",
+            file=sys.stderr,
+        )
     # a shallow copy: asdict's deep copy of the tests costs 0.3 ms an audit
     payload = dict(vars(report))
     payload["N"] = payload.pop("n_servers")

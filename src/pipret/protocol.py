@@ -27,7 +27,8 @@ Three schemes are provided:
                           information; meets the P = 1 bound exactly.
                           One cached layout per desired file fixes each
                           server's sums, sent in order of file support, and
-                          the decode, one gather per run.
+                          the decode, one gather per run; a query relabels
+                          the layout's blocks with the run's draws.
 * ``leaky_index``       - negative control that sends the request in the
                           clear; privacy audits must flag it.
 
@@ -116,6 +117,10 @@ class SumBlock:
     ``starts[s]`` up to the next start (or the end); every sum has at least
     one term.  ``len`` counts the sums, iteration yields each sum as a tuple
     of (file, index) terms, and equality compares the arrays.
+
+    The constructor copies and checks all three arrays.  ``relabel`` gives a
+    block new indices over this block's already checked ``files`` and
+    ``starts``: a query relabels its cached layout's blocks that way.
     """
 
     files: np.ndarray
@@ -136,6 +141,18 @@ class SumBlock:
         for name, a in zip(("files", "indices", "starts"), arrays):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+
+    def relabel(self, indices) -> SumBlock:
+        """A block that shares this block's ``files`` and ``starts`` and holds
+        a read-only intp copy of ``indices``, one index per term."""
+        indices = np.array(indices, dtype=np.intp)
+        if indices.shape != self.files.shape:
+            raise ValueError("relabel needs exactly one index per term")
+        indices.flags.writeable = False
+        block = object.__new__(SumBlock)
+        for name, a in (("files", self.files), ("indices", indices), ("starts", self.starts)):
+            object.__setattr__(block, name, a)
+        return block
 
     def __len__(self):
         return len(self.starts)
@@ -219,15 +236,15 @@ class RetrievalScheme(abc.ABC):
 
     def answer(self, space, server_query, data) -> list:
         """Each block's sums mod q, one int64 array per block, from the
-        replicated (T, nu) symbols in [0, q).
+        replicated (T, nu) int64 symbols in [0, q).
 
-        One gather and one segmented sum per block.  The sum runs in int64
-        while its longest sum cannot pass 2**63 - 1, and in Python integers
-        beyond that (long sums with q near 2**61)."""
+        One gather and one segmented sum per block, reduced mod q in place.
+        The sum runs in int64 while its longest sum cannot pass 2**63 - 1,
+        and in Python integers beyond that (long sums with q near 2**61)."""
         q = space.q
         out = []
         for block in server_query:
-            values = np.asarray(data[block.files, block.indices], dtype=np.int64)
+            values = data[block.files, block.indices]
             if not len(block):
                 out.append(values)
                 continue
@@ -235,8 +252,11 @@ class RetrievalScheme(abc.ABC):
             if (q - 1) * len(values) > _INT64_MAX:
                 longest = int(np.diff(block.starts, append=len(values)).max())
                 if (q - 1) * longest > _INT64_MAX:
-                    values = values.astype(object)
-            out.append((np.add.reduceat(values, block.starts) % q).astype(np.int64))
+                    sums = np.add.reduceat(values.astype(object), block.starts)
+                    out.append((sums % q).astype(np.int64))
+                    continue
+            sums = np.add.reduceat(values, block.starts)
+            out.append(np.remainder(sums, q, out=sums))
         return out
 
     @abc.abstractmethod
@@ -382,15 +402,19 @@ class FullDownloadScheme(RetrievalScheme):
 
     def query(self, space, n_servers, request, rng=None) -> QueryPlan:
         self.check_supports(space, n_servers)
-        T, nu = space.T, space.nu
-        everything = SumBlock(
-            np.repeat(np.arange(T), nu), np.tile(np.arange(nu), T), np.arange(T * nu)
-        )
+        everything = _full_download_block(space.T, space.nu)
         queries = [(everything,)] + [(_NO_SUMS,)] * (n_servers - 1)
         return QueryPlan(server_queries=queries, state=np.asarray(request))
 
     def decode(self, space, plan, answers) -> np.ndarray:
         return answers[0][0].reshape(space.T, space.nu)[plan.state]
+
+
+@lru_cache(maxsize=32)
+def _full_download_block(T: int, nu: int) -> SumBlock:
+    """The full download's one block, every symbol a sum of its own; cached
+    per (T, nu) and, like every block, read-only."""
+    return SumBlock(np.repeat(np.arange(T), nu), np.tile(np.arange(nu), T), np.arange(T * nu))
 
 
 class LeakyIndexScheme(RetrievalScheme):
@@ -517,10 +541,12 @@ class RepeatedPirScheme(RetrievalScheme):
     Everything but the permutations is fixed by the desired file theta and
     cached once per (T, N, theta) by ``_run_layout``: the sums each server
     gets, as (file, slot) terms, and where the decoder reads each desired
-    slot.  A server's sums are sent in order of file support, so the
-    sequence of supports it sees is the same for every request, and within a
-    run its slots of each file are distinct, so their indices are uniformly
-    random whatever the request.
+    slot.  A query relabels each cached block with ``SumBlock.relabel``,
+    turning its slots into the run's symbol indices; the block's files and
+    starts are shared, not rebuilt or checked again.  A server's sums are
+    sent in order of file support, so the sequence of supports it sees is
+    the same for every request, and within a run its slots of each file are
+    distinct, so their indices are uniformly random whatever the request.
     """
 
     name = "repeated_pir"
@@ -538,7 +564,7 @@ class RepeatedPirScheme(RetrievalScheme):
         runs = []
         for theta, perms in zip(request, all_perms):
             for blocks, sums in zip(server_blocks, _run_layout(T, n_servers, theta).sums):
-                blocks.append(SumBlock(sums.files, perms[sums.files, sums.indices], sums.starts))
+                blocks.append(sums.relabel(perms[sums.files, sums.indices]))
             runs.append((theta, perms[theta]))
         queries = [tuple(blocks) for blocks in server_blocks]
         return QueryPlan(server_queries=queries, state=runs)

@@ -197,6 +197,58 @@ def test_simulate_rejects_runs_without_seeds(seeds, capsys):
     assert err == "error: simulate --seeds must be at least 1\n"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--L", "0"], "simulate --L must be at least 1"),
+    (["--L", "-3"], "simulate --L must be at least 1"),
+    (["--K", "0"], "simulate --K must be at least 1"),
+    (["--K", "-2"], "simulate --K must be at least 1"),
+])
+def test_simulate_names_the_flag_of_a_bad_size(flags, message, capsys):
+    argv = ["simulate", "--scheme", "full_download", "--q", "5", "--N", "2", "--P", "1"]
+    if "--K" not in flags:
+        argv += ["--K", "2"]
+    code, out, err = _run(argv + flags, capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("scheme,extra", [
+    ("repeated_pir", ["--K", "3", "--N", "2", "--P", "2"]),
+    ("full_download", ["--K", "2", "--N", "2", "--P", "3", "--nu", "4", "--L", "5"]),
+])
+def test_simulate_runs_get_their_own_database_tables(scheme, extra, monkeypatch):
+    """One stacked table serves every run: each run's data is the table of
+    the database its own generator draws, after its request."""
+    from pipret import protocol
+    from pipret.fields import Database, pair_count
+
+    seen = []
+    run = protocol.run_retrieval
+
+    def recorded(scheme, space, n_servers, request, data, seed):
+        seen.append((request, data))
+        return run(scheme, space, n_servers, request, data, seed=seed)
+
+    monkeypatch.setattr(protocol, "run_retrieval", recorded)
+    args = build_parser().parse_args(
+        ["simulate", "--scheme", scheme, "--q", "5", "--seeds", "4", *extra]
+    )
+    config = resolve_config(args)
+    report, status = dispatch(config)
+    assert status == EXIT_OK
+    p = config.params
+    K, P, L = p["K"], p["P"], p.get("L", 8)
+    nu = p.get("nu", p["N"] ** pair_count(K))
+    assert len(seen) == 4
+    for i, (request, data) in enumerate(seen):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[config.master_seed, i]))
+        assert request == tuple(sorted(rng.choice(pair_count(K), size=P, replace=False).tolist()))
+        db = Database(5, rng.integers(0, 5, size=(nu, K, L), dtype=np.int64))
+        _, want = protocol.virtual_data_from_databases(db)
+        assert data.shape == want.shape and np.array_equal(data, want)
+
+
 def test_simulate_requires_k_or_t(capsys):
     code, _, err = _run(["simulate", "--scheme", "full_download"], capsys)
     assert code == EXIT_VALIDATION
@@ -279,6 +331,34 @@ def test_audit_command_sampled_has_pairwise_tests(capsys):
     assert res["n_tests"] == len(res["tests"]) > 0
     assert 0 < res["informative_tests"] <= res["n_tests"]
     assert {"channel", "set1", "set2", "chi2", "dof", "pvalue"} <= set(res["tests"][0])
+
+
+def test_audit_says_when_its_sampled_tests_tested_nothing(capsys):
+    """Every test of this point pools into one category: the note goes to
+    stderr and the report on stdout is the one dispatch renders."""
+    argv = ["audit", "--scheme", "repeated_pir", "--mode", "sampled", "--samples", "20000",
+            "--T", "3", "--q", "3", "--N", "3", "--P", "1"]
+    code, out, err = _run(argv, capsys)
+    assert code == EXIT_OK
+    res = json.loads(out)["results"]
+    assert res["passed"] and res["informative_tests"] == 0 and res["n_tests"] == 36
+    assert "note: 0 of the sampled audit's 36 tests have a degree of freedom" in err
+    assert "ROADMAP item 5" in err
+    config = resolve_config(build_parser().parse_args(argv))
+    assert out == render_report(dispatch(config)[0], config.fmt)
+
+
+@pytest.mark.parametrize("P", [1, 2])
+def test_audit_with_informative_tests_adds_no_note(P, capsys):
+    # criterion 7's sampled points
+    code, out, err = _run(
+        ["audit", "--scheme", "repeated_pir", "--mode", "sampled", "--samples", "100000",
+         "--T", "3", "--q", "2", "--N", "2", "--P", str(P)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["results"]["informative_tests"] > 0
+    assert "note" not in err
 
 
 def _write_dataset(path):

@@ -109,6 +109,21 @@ def test_sum_block_views_and_validation():
         SumBlock([0, 1], [0], [0])
 
 
+def test_relabel_shares_the_checked_arrays_and_copies_the_indices():
+    block = _block([[(0, 1)], [(1, 0), (2, 3)]])
+    new = np.array([5, 6, 7])
+    relabelled = block.relabel(new)
+    assert relabelled.files is block.files and relabelled.starts is block.starts
+    assert relabelled.indices.dtype == np.intp and not relabelled.indices.flags.writeable
+    assert relabelled == SumBlock(block.files, new, block.starts)
+    new[0] = 9  # the caller's array stays its own
+    assert relabelled.indices.tolist() == [5, 6, 7] and new.flags.writeable
+    assert block.indices.tolist() == [1, 0, 3]
+    for wrong in ([5, 6], [5, 6, 7, 8], [[5, 6, 7]]):
+        with pytest.raises(ValueError, match="one index per term"):
+            block.relabel(wrong)
+
+
 def _tuple_view_oracle(name, space, N, request, rng):
     """Queries in the nested-tuple form, built straight from the scheme
     definitions: a query is a tuple of blocks, a block a tuple of sums, a
@@ -167,6 +182,18 @@ def test_full_download_constant_query():
         for req in itertools.combinations(range(4), 2)
     ]
     assert all(p == plans[0] for p in plans)
+
+
+def test_full_download_shares_one_read_only_block():
+    space = VirtualFileSpace(T=4, q=5, nu=3)
+    sch = FullDownloadScheme()
+    first, second = (
+        sch.query(space, 2, req, None).server_queries[0][0] for req in ((0,), (1, 3))
+    )
+    assert first is second
+    assert first == SumBlock(np.repeat(np.arange(4), 3), np.tile(np.arange(3), 4), np.arange(12))
+    for a in (first.files, first.indices, first.starts):
+        assert not a.flags.writeable
 
 
 def test_full_download_n1_matches_converse():
@@ -277,6 +304,37 @@ def test_repeated_pir_query_draws_like_sequential_permutations(T, N, P):
         assert plan.state[r][0] == theta
         assert plan.state[r][1].tolist() == perms[theta].tolist()
     assert rng.integers(0, 2**62, size=4).tolist() == twin.integers(0, 2**62, size=4).tolist()
+
+
+@pytest.mark.parametrize(
+    "T,N,P", [(2, 2, 1), (2, 2, 2), (3, 2, 2), (3, 2, 3), (2, 3, 2), (3, 3, 1)]
+)
+def test_repeated_pir_query_relabels_its_layout_without_rechecking(T, N, P, monkeypatch):
+    """A query's blocks are its cached layout's blocks relabelled: no block
+    goes through the checking constructor, and each equals the block that
+    constructor builds from the same arrays."""
+    space = VirtualFileSpace(T=T, q=5, nu=N**T)
+    request = np.arange(T - P, T)
+    for theta in request:
+        _run_layout(T, N, theta)  # layouts are built, and checked, before counting
+    checked = []
+    post_init = SumBlock.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(SumBlock, "__post_init__", counted)
+    plan = RepeatedPirScheme().query(space, N, request, np.random.default_rng(T * N + P))
+    assert checked == []
+    monkeypatch.undo()
+    for n, server in enumerate(plan.server_queries):
+        assert len(server) == P
+        for theta, block in zip(request, server):
+            sums = _run_layout(T, N, theta).sums[n]
+            assert block.files is sums.files and block.starts is sums.starts
+            assert not block.indices.flags.writeable
+            assert block == SumBlock(block.files.copy(), block.indices.copy(), block.starts.copy())
 
 
 def test_repeated_pir_unsupported_params():
